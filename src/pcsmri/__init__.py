@@ -47,7 +47,6 @@ from .solver import (
     SolverState,
     dc_update,
     objective,
-    prox_filter,
     solve,
     x_update,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "make_random_mask",
     "nmse",
     "objective",
-    "prox_filter",
     "psnr",
     "rmse",
     "rss_combine",

@@ -43,15 +43,7 @@ from .errors import (
     ProtocolError,
     ShapeError,
 )
-from .masks import (
-    PRESETS,
-    load_mask,
-    make_equispaced_mask,
-    make_preset_mask,
-    make_random_mask,
-    mask_summary,
-    save_mask,
-)
+from .masks import MASK_KINDS, PRESETS, load_mask, mask_summary, save_mask
 from .metrics import PSNR_TEXT_CAP, evaluate, psnr
 from .operators import SensitivitySet, zero_filled
 from .phantoms import PHANTOM_KINDS, make_phantom, simulate_case
@@ -124,7 +116,8 @@ def _build_solver_config(fields, default_exchange_dir=None):
     params = {}
     if kind == "total_variation":
         if "tv_iterations" in fields:
-            params["iterations"] = int(float(fields["tv_iterations"]))
+            params["iterations"] = _parse_floats(fields["tv_iterations"],
+                                                 "tv_iterations")
         if "tv_tol" in fields:
             params["tol"] = float(fields["tv_tol"])
     elif kind == "external":
@@ -150,7 +143,7 @@ def _build_solver_config(fields, default_exchange_dir=None):
         alpha=_parse_floats(fields.get("alpha", "1.0"), "alpha"),
         beta=_parse_floats(fields.get("beta", "1.0"), "beta"),
         lam=lam,
-        iterations=int(float(fields.get("iterations", "3"))),
+        iterations=_parse_floats(fields.get("iterations", "3"), "iterations"),
         dc_blend_v=v,
         record_history=_parse_bool(fields.get("record_history", "false"),
                                    "record_history"),
@@ -190,10 +183,7 @@ def cmd_phantom(args):
 
 def cmd_mask(args):
     height = args.height or args.width
-    if args.kind == "random":
-        mask = make_random_mask(height, args.width, args.r, args.acs, args.seed)
-    else:
-        mask = make_equispaced_mask(height, args.width, args.r, args.acs, args.seed)
+    mask = MASK_KINDS[args.kind](height, args.width, args.r, args.acs, args.seed)
     save_mask(args.out, mask)
     print(f"wrote {mask_summary(mask)} to {args.out}")
     return 0
@@ -311,11 +301,10 @@ def _format_row(case, method, scores):
 
 
 def _print_table(rows):
-    header = ("case", "method", "PSNR", "SSIM", "RMSE", "NMSE")
-    cells = [header] + [r.split(",") for r in rows]
-    widths = [max(len(c[i]) for c in cells) for i in range(len(header))]
+    cells = [REPORT_COLUMNS] + [r.split(",") for r in rows]
+    widths = [max(len(cell) for cell in column) for column in zip(*cells)]
     for c in cells:
-        print("  ".join(c[i].ljust(widths[i]) for i in range(len(header))))
+        print("  ".join(cell.ljust(w) for cell, w in zip(c, widths)))
 
 
 def _eval_pair(recon_path, gt_path, sens_path=None):
@@ -431,7 +420,7 @@ def build_parser():
     p.add_argument("--height", type=int)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--acs", type=int, default=24)
-    p.add_argument("--kind", default="random", choices=("random", "equispaced"))
+    p.add_argument("--kind", default="random", choices=tuple(MASK_KINDS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="mask")
     p.set_defaults(func=cmd_mask)
@@ -452,8 +441,7 @@ def build_parser():
     p.add_argument("--coils", type=int, default=4)
     p.add_argument("--phantom", default="shepp_logan", choices=PHANTOM_KINDS)
     p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--mask-kind", default="random",
-                   choices=("random", "equispaced"))
+    p.add_argument("--mask-kind", default="random", choices=tuple(MASK_KINDS))
     p.add_argument("--r", type=float, default=4.0)
     p.add_argument("--acs", type=int, default=24)
     p.add_argument("--sigma", type=float, default=0.0)

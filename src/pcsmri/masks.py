@@ -34,8 +34,9 @@ def acs_band(width, acs_width):
 class SamplingMask:
     """Binary selection of phase-encode lines (columns) of an H x W grid.
 
-    ``grid`` is the 0/1 diagonal of the projection U^H U materialized on
-    the full grid. Instances are immutable and safe to share.
+    ``line_selected`` holds one flag per column; :func:`apply_mask`
+    realizes the projection U^H U from it. Instances are immutable and
+    safe to share.
     """
 
     height: int
@@ -67,17 +68,6 @@ class SamplingMask:
     @property
     def sampling_ratio(self):
         return self.n_selected / self.width
-
-    @property
-    def grid(self):
-        """Full H x W 0/1 grid (read-only view)."""
-        g = np.broadcast_to(
-            self.line_selected.astype(np.float64), (self.height, self.width)
-        )
-        return g
-
-    def apply(self, ksp):
-        return apply_mask(ksp, self)
 
 
 def _check_budget(width, r, acs_width):
@@ -141,6 +131,9 @@ def make_equispaced_mask(height, width, r, acs_width, seed):
     )
 
 
+MASK_KINDS = {"random": make_random_mask, "equispaced": make_equispaced_mask}
+
+
 def apply_mask(ksp, mask):
     """Zero unselected lines; selected lines are copied bit-exactly.
 
@@ -177,8 +170,7 @@ def make_preset_mask(name, height, width, seed):
         raise ConfigError(
             f"unknown preset {name!r}; choose from {sorted(PRESETS)}"
         ) from None
-    maker = make_equispaced_mask if proto.kind == "equispaced" else make_random_mask
-    return maker(height, width, proto.r, proto.acs_width, seed)
+    return MASK_KINDS[proto.kind](height, width, proto.r, proto.acs_width, seed)
 
 
 def save_mask(path, mask):

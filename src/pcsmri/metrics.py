@@ -143,8 +143,3 @@ def evaluate(rec, gt, support=None):
         "rmse": rmse(rec_flat, gt_flat),
         "nmse": nmse(rec_flat, gt_flat),
     }
-
-
-def format_db(value):
-    """Render a PSNR value for text output, capping the infinity sentinel."""
-    return f"{min(value, PSNR_TEXT_CAP):.2f}"

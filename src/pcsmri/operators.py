@@ -8,7 +8,7 @@ Noise is injected on sampled lines only; unsampled positions are never
 measured.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,10 +32,12 @@ class SensitivitySet:
 
     On support sum_l |S_l|^2 = 1 (to 1e-6); off support the maps are
     exactly zero, and reconstructed images are defined as 0 there.
+    ``energy`` is that sum, sum_l |S_l|^2 per pixel (read-only).
     """
 
     maps: np.ndarray
     support: np.ndarray
+    energy: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         maps = np.asarray(self.maps, dtype=np.complex128).copy()
@@ -50,10 +52,11 @@ class SensitivitySet:
             raise ConfigError("maps are not normalized to unit RSS on support")
         if np.any(maps[:, ~support] != 0):
             raise ConfigError("maps must be exactly zero off support")
-        maps.setflags(write=False)
-        support.setflags(write=False)
+        for arr in (maps, support, energy):
+            arr.setflags(write=False)
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "support", support)
+        object.__setattr__(self, "energy", energy)
 
     @property
     def n_coils(self):
@@ -68,8 +71,12 @@ class SensitivitySet:
         """Normalize raw coil profiles by their RSS inside the support.
 
         Support is where the RSS exceeds ``threshold`` times its peak.
+        Single-precision profiles are normalized in single precision.
         """
-        profiles = _check_multicoil(np.asarray(profiles, dtype=np.complex128))
+        profiles = np.asarray(profiles)
+        profiles = _check_multicoil(
+            profiles.astype(np.result_type(profiles, np.complex64), copy=False)
+        )
         rss = rss_combine(profiles)
         peak = rss.max()
         if peak == 0:
@@ -79,15 +86,20 @@ class SensitivitySet:
         return cls(maps, support)
 
 
-def _check_geometry(x, sens, mask=None):
-    x = np.asarray(x)
-    if x.shape != sens.shape:
-        raise ShapeError(f"image shape {x.shape} does not match maps {sens.shape}")
+def _check_geometry(sens, mask=None, image=None, coils=None, name="k-space"):
+    """Raise ShapeError unless mask, image and coil stack match the maps."""
     if mask is not None and (mask.height, mask.width) != sens.shape:
         raise ShapeError(
             f"mask ({mask.height}, {mask.width}) does not match maps {sens.shape}"
         )
-    return x
+    if image is not None and np.shape(image) != sens.shape:
+        raise ShapeError(
+            f"image shape {np.shape(image)} does not match maps {sens.shape}"
+        )
+    if coils is not None and np.shape(coils) != sens.maps.shape:
+        raise ShapeError(
+            f"{name} shape {np.shape(coils)} does not match maps {sens.maps.shape}"
+        )
 
 
 def forward(x, sens, mask, noise_sigma=0.0, seed=None):
@@ -97,7 +109,7 @@ def forward(x, sens, mask, noise_sigma=0.0, seed=None):
     added on sampled lines only. Output is zero-filled at unsampled
     positions. Deterministic for a given seed.
     """
-    x = _check_geometry(x, sens, mask)
+    _check_geometry(sens, mask, image=x)
     if noise_sigma < 0:
         raise ConfigError(f"noise_sigma must be >= 0, got {noise_sigma}")
     y = apply_mask(fft2c(sens.maps * x), mask)
@@ -112,18 +124,13 @@ def forward(x, sens, mask, noise_sigma=0.0, seed=None):
 
 def adjoint(y, sens, mask):
     """sum_l S_l^H F^H U^H U y_l, the exact adjoint of the noiseless forward."""
-    y = _check_multicoil(y)
-    _check_geometry(np.zeros(sens.shape), sens, mask)
-    if y.shape[0] != sens.n_coils or y.shape[1:] != sens.shape:
-        raise ShapeError(f"k-space shape {y.shape} does not match maps")
+    _check_geometry(sens, mask, coils=y)
     return np.sum(np.conj(sens.maps) * ifft2c(apply_mask(y, mask)), axis=0)
 
 
 def zero_filled(y, sens):
     """Coil-combined inverse FFT of zero-filled data: the initial estimate."""
-    y = _check_multicoil(y)
-    if y.shape[0] != sens.n_coils or y.shape[1:] != sens.shape:
-        raise ShapeError(f"k-space shape {y.shape} does not match maps")
+    _check_geometry(sens, coils=y)
     return np.sum(np.conj(sens.maps) * ifft2c(y), axis=0)
 
 

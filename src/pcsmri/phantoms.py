@@ -7,7 +7,7 @@ be regenerated bit-exactly from their manifest parameters.
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .masks import PRESETS, make_equispaced_mask, make_preset_mask, make_random_mask
+from .masks import MASK_KINDS, make_preset_mask
 from .operators import SensitivitySet, forward
 
 # (value, a, b, x0, y0, phi_deg), axes and centers in [-1, 1] coordinates
@@ -162,10 +162,8 @@ def simulate_case(height, width, n_coils=4, phantom="shepp_logan",
     sens = SensitivitySet.from_profiles(profiles)
     if preset is not None:
         mask = make_preset_mask(preset, height, width, seed=int(sub[2]))
-    elif mask_kind == "random":
-        mask = make_random_mask(height, width, r, acs_width, seed=int(sub[2]))
-    elif mask_kind == "equispaced":
-        mask = make_equispaced_mask(height, width, r, acs_width, seed=int(sub[2]))
+    elif mask_kind in MASK_KINDS:
+        mask = MASK_KINDS[mask_kind](height, width, r, acs_width, seed=int(sub[2]))
     else:
         raise ConfigError(f"unknown mask kind {mask_kind!r}")
     y = forward(x_gt, sens, mask, noise_sigma=noise_sigma, seed=int(sub[3]))

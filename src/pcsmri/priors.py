@@ -9,6 +9,7 @@ a user-supplied denoiser through a file-exchange protocol and reports
 no value.
 """
 
+import contextlib
 import shlex
 import subprocess
 import tempfile
@@ -205,8 +206,10 @@ class TotalVariationPrior(Prior):
     kind = "total_variation"
 
     def __init__(self, iterations=50, tol=1e-6):
-        if iterations < 1:
-            raise ConfigError(f"tv iterations must be >= 1, got {iterations}")
+        if int(iterations) != iterations or iterations < 1:
+            raise ConfigError(
+                f"tv iterations must be an integer >= 1, got {iterations}"
+            )
         if tol <= 0:
             raise ConfigError(f"tv tol must be > 0, got {tol}")
         self.iterations = int(iterations)
@@ -239,7 +242,9 @@ class ExternalPrior(Prior):
     the output path, which must hold an image of the same shape. Any
     nonzero exit, timeout, or unreadable output raises
     PriorExecutionError. R(z) is unknown for an external denoiser, so
-    value() returns None and objectives skip the penalty term.
+    value() returns None and objectives skip the penalty term. Without
+    an exchange_dir, each call exchanges through a fresh temporary
+    directory that is removed on return.
     """
 
     kind = "external"
@@ -253,50 +258,54 @@ class ExternalPrior(Prior):
         if timeout <= 0:
             raise ConfigError(f"timeout must be > 0, got {timeout}")
         self.command = command
-        if exchange_dir is None:
-            exchange_dir = tempfile.mkdtemp(prefix="pcsmri-prior-")
-        self.exchange_dir = Path(exchange_dir)
+        self.exchange_dir = None if exchange_dir is None else Path(exchange_dir)
         self.timeout = float(timeout)
 
     def prox(self, x, beta, lam):
         _check_positive_beta(beta)
         _check_lam(lam)
         x = np.asarray(x)
-        self.exchange_dir.mkdir(parents=True, exist_ok=True)
-        in_path = self.exchange_dir / "prior_in"
-        out_path = self.exchange_dir / "prior_out"
-        for stale in (out_path, out_path.with_suffix(".hdr")):
-            stale.unlink(missing_ok=True)
-        save_image(in_path, x, kind="image", dtype="<c16")
-        argv = self.command + [str(in_path), str(out_path), repr(float(beta)),
-                               repr(float(lam))]
-        try:
-            proc = subprocess.run(
-                argv, capture_output=True, text=True, timeout=self.timeout
-            )
-        except subprocess.TimeoutExpired:
-            raise PriorExecutionError(
-                f"external prior timed out after {self.timeout} s"
-            ) from None
-        except OSError as exc:
-            raise PriorExecutionError(f"cannot run external prior: {exc}") from None
-        if proc.returncode != 0:
-            detail = proc.stderr.strip() or proc.stdout.strip()
-            raise PriorExecutionError(
-                f"external prior exited with code {proc.returncode}"
-                + (f": {detail}" if detail else "")
-            )
-        try:
-            z, _ = load_image(out_path)
-        except Exception as exc:
-            raise PriorExecutionError(
-                f"external prior produced unreadable output: {exc}"
-            ) from None
-        if z.shape != x.shape:
-            raise PriorExecutionError(
-                f"external prior returned shape {z.shape}, expected {x.shape}"
-            )
-        return z
+        if self.exchange_dir is None:
+            exchange = tempfile.TemporaryDirectory(prefix="pcsmri-prior-")
+        else:
+            exchange = contextlib.nullcontext(self.exchange_dir)
+        with exchange as exchange_dir:
+            exchange_dir = Path(exchange_dir)
+            exchange_dir.mkdir(parents=True, exist_ok=True)
+            in_path = exchange_dir / "prior_in"
+            out_path = exchange_dir / "prior_out"
+            for stale in (out_path, out_path.with_suffix(".hdr")):
+                stale.unlink(missing_ok=True)
+            save_image(in_path, x, kind="image", dtype="<c16")
+            argv = self.command + [str(in_path), str(out_path), repr(float(beta)),
+                                   repr(float(lam))]
+            try:
+                proc = subprocess.run(
+                    argv, capture_output=True, text=True, timeout=self.timeout
+                )
+            except subprocess.TimeoutExpired:
+                raise PriorExecutionError(
+                    f"external prior timed out after {self.timeout} s"
+                ) from None
+            except OSError as exc:
+                raise PriorExecutionError(f"cannot run external prior: {exc}") from None
+            if proc.returncode != 0:
+                detail = proc.stderr.strip() or proc.stdout.strip()
+                raise PriorExecutionError(
+                    f"external prior exited with code {proc.returncode}"
+                    + (f": {detail}" if detail else "")
+                )
+            try:
+                z, _ = load_image(out_path)
+            except Exception as exc:
+                raise PriorExecutionError(
+                    f"external prior produced unreadable output: {exc}"
+                ) from None
+            if z.shape != x.shape:
+                raise PriorExecutionError(
+                    f"external prior returned shape {z.shape}, expected {x.shape}"
+                )
+            return z
 
     def value(self, z):
         return None

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import EstimationError, ShapeError
 from .masks import acs_band
-from .operators import SUPPORT_THRESHOLD, SensitivitySet, _check_multicoil, rss_combine
+from .operators import SUPPORT_THRESHOLD, SensitivitySet, _check_multicoil
 from .transforms import ifft2c
 
 
@@ -75,11 +75,6 @@ def estimate_maps(ksp, acs_width, mask=None, apodize=True,
         r0, r1 = acs_band(h, acs_width)
         c0, c1 = acs_band(w, acs_width)
         acs = acs * _hann2d(h, w, r0, r1, c0, c1)
-    low = ifft2c(acs)
-    rss = rss_combine(low)
-    peak = rss.max()
-    if peak == 0:
+    if not np.any(acs):
         raise EstimationError("calibration region contains no signal")
-    support = rss > threshold * peak
-    maps = np.where(support, low / np.where(support, rss, 1.0), 0)
-    return SensitivitySet(maps, support)
+    return SensitivitySet.from_profiles(ifft2c(acs), threshold)

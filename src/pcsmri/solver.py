@@ -9,9 +9,11 @@ The penalized objective being minimized is
 and one iteration alternates three exact block updates, each reading
 the previous x: the filtering step z = prox_{lam/beta R}(x), the
 per-coil data-consistency step on sampled k-space bins, and the
-closed-form auxiliary update for x. Every block is minimized exactly
-(TV up to its inner tolerance), so F is non-increasing across
-iterations.
+closed-form auxiliary update for x. With exact data consistency
+(dc_blend_v = 1) every block is minimized exactly (TV up to its inner
+tolerance), so F is non-increasing across iterations. A soft blend
+(v < 1) moves sampled bins only part of the way, so its DC step is not
+the minimizer of this F and the reported value can rise.
 
 m_l lives in image domain throughout; its k-space form only appears
 transiently inside the data-consistency update.
@@ -21,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, ProtocolError, ShapeError
+from .errors import ConfigError, DivergenceError, ProtocolError
 from .masks import apply_mask
-from .operators import _check_multicoil, zero_filled
+from .operators import _check_geometry, zero_filled
 from .priors import Prior
 from .transforms import fft2c, ifft2c, l2_norm
 
@@ -83,7 +85,9 @@ class SolverConfig:
         if not isinstance(self.prior, Prior):
             raise ConfigError(f"prior must be a Prior instance, got {self.prior!r}")
         if int(self.iterations) != self.iterations or self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+            raise ConfigError(
+                f"iterations must be an integer >= 1, got {self.iterations}"
+            )
         self.iterations = int(self.iterations)
         self.alpha = _as_schedule(self.alpha, "alpha", self.iterations, False)
         self.beta = _as_schedule(self.beta, "beta", self.iterations, False)
@@ -109,42 +113,19 @@ class SolverState:
     x_history: list = field(default_factory=list)
 
 
-def prox_filter(x_prev, prior, beta, lam):
-    """Filtering step: argmin_z (beta/2)||z - x_prev||^2 + lam*R(z)."""
-    return prior.prox(np.asarray(x_prev), beta, lam)
-
-
-def _check_case(y, sens, mask):
-    y = _check_multicoil(np.asarray(y))
-    if y.shape[0] != sens.n_coils or y.shape[1:] != sens.shape:
-        raise ShapeError(
-            f"k-space shape {y.shape} does not match maps "
-            f"({sens.n_coils}, {sens.shape[0]}, {sens.shape[1]})"
-        )
-    if (mask.height, mask.width) != sens.shape:
-        raise ShapeError(
-            f"mask ({mask.height}, {mask.width}) does not match maps {sens.shape}"
-        )
-    return y
-
-
 def dc_update(x_prev, y, sens, mask, alpha, v=1.0):
     """Per-coil data-consistency step, solved bin by bin in k-space.
 
     Sampled bins move to (y + alpha*k)/(1 + alpha), the exact minimizer
     of the coil subproblem; unsampled bins keep k = fft2c(S_l * x_prev).
     The soft weight v blends the consistent value with the untouched one
-    on sampled bins (v=1 is exact consistency). Returns per-coil images.
+    on sampled bins (v=1 is exact consistency; for v < 1 the step is no
+    longer the minimizer of the objective above). Returns per-coil images.
     """
     if alpha <= 0:
         raise ConfigError(f"alpha must be > 0, got {alpha}")
     v = _check_blend(v)
-    y = _check_case(y, sens, mask)
-    x_prev = np.asarray(x_prev)
-    if x_prev.shape != sens.shape:
-        raise ShapeError(
-            f"image shape {x_prev.shape} does not match maps {sens.shape}"
-        )
+    _check_geometry(sens, mask, image=x_prev, coils=y)
     k = fft2c(sens.maps * x_prev)
     k_dc = (y + alpha * k) / (1.0 + alpha)
     blended = v * k_dc + (1.0 - v) * k
@@ -159,16 +140,9 @@ def x_update(z, m, sens, alpha, beta):
     """
     if alpha <= 0 or beta <= 0:
         raise ConfigError(f"alpha and beta must be > 0, got {alpha}, {beta}")
-    z = np.asarray(z)
-    m = _check_multicoil(np.asarray(m), "coil images")
-    if z.shape != sens.shape or m.shape[0] != sens.n_coils or m.shape[1:] != z.shape:
-        raise ShapeError(
-            f"shapes z {z.shape}, m {m.shape} do not match maps "
-            f"({sens.n_coils}, {sens.shape[0]}, {sens.shape[1]})"
-        )
-    num = beta * z + alpha * np.sum(np.conj(sens.maps) * m, axis=0)
-    den = beta + alpha * np.sum(np.abs(sens.maps) ** 2, axis=0)
-    return num / den
+    _check_geometry(sens, image=z, coils=m, name="coil images")
+    num = beta * np.asarray(z) + alpha * np.sum(np.conj(sens.maps) * m, axis=0)
+    return num / (beta + alpha * sens.energy)
 
 
 def _objective_value(z, m, x, y, sens, mask, alpha, beta, lam, prior):
@@ -188,7 +162,7 @@ def objective(state, y, sens, mask, alpha, beta, lam, prior):
     For the external prior R is unknown; the value is reported without
     the lam*R term (state.objective_includes_prior records this).
     """
-    y = _check_case(y, sens, mask)
+    _check_geometry(sens, mask, coils=y)
     value, _ = _objective_value(
         state.z, state.m, state.x, y, sens, mask, alpha, beta, lam, prior
     )
@@ -209,9 +183,9 @@ def solve(y, sens, mask, config):
     updates for config.iterations rounds. Returns (x, state); the state
     carries the objective history (entry 0 is the starting point with
     z = x and m_l = S_l x, so the trace is non-increasing for exact
-    priors) and inner-solver warnings.
+    priors with dc_blend_v = 1) and inner-solver warnings.
     """
-    y = _check_case(y, sens, mask)
+    _check_geometry(sens, mask, coils=y)
     if mask.n_selected == 0:
         raise ProtocolError("mask selects no lines; nothing was measured")
     prior = config.prior

@@ -1,4 +1,4 @@
-"""Centered unitary 2D Fourier transforms and complex array helpers.
+"""Centered unitary 2D Fourier transforms, l2 norm and inner product.
 
 Conventions used throughout the package:
 
@@ -27,14 +27,6 @@ def _check_grid(x, name="array"):
     return x
 
 
-def _check_same_shape(a, b):
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a, b
-
-
 def fft2c(img):
     """Centered, unitarily normalized 2D DFT over the last two axes."""
     img = _check_grid(img, "image")
@@ -51,37 +43,12 @@ def ifft2c(ksp):
     return np.fft.fftshift(img, axes=_AXES)
 
 
-def add(a, b):
-    a, b = _check_same_shape(a, b)
-    return a + b
-
-
-def sub(a, b):
-    a, b = _check_same_shape(a, b)
-    return a - b
-
-
-def mul(a, b):
-    """Hadamard (element-wise) product."""
-    a, b = _check_same_shape(a, b)
-    return a * b
-
-
-def conj_mul(a, b):
-    """Element-wise conj(a) * b."""
-    a, b = _check_same_shape(a, b)
-    return np.conj(a) * b
-
-
-def scale(x, c):
-    return np.asarray(x) * c
-
-
 def l2_norm(x):
     return float(np.linalg.norm(np.asarray(x).ravel()))
 
 
 def inner_product(a, b):
     """<a, b> = sum conj(a) * b (conjugate-linear in the first argument)."""
-    a, b = _check_same_shape(a, b)
+    if np.shape(a) != np.shape(b):
+        raise ShapeError(f"shape mismatch: {np.shape(a)} vs {np.shape(b)}")
     return complex(np.vdot(a, b))

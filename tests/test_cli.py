@@ -346,6 +346,9 @@ def test_config_and_usage_errors_exit_2(tmp_path, capsys):
     assert "expected 'key = value'" in expect_2("alpha\n")
     assert "v must be a single number" in expect_2("v = 0.5,0.6\n")
     assert "must be a boolean" in expect_2("record_history = maybe\n")
+    assert "iterations must be an integer >= 1" in expect_2("iterations = 3.5\n")
+    assert "tv iterations" in expect_2(
+        "prior = total_variation\ntv_iterations = 7.9\n")
     assert "external prior requires external_cmd" in expect_2(
         "prior = external\n")
 

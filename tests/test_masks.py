@@ -113,8 +113,6 @@ def test_mask_dataclass_validates_and_freezes():
     assert mask.n_selected == 4
     assert mask.sampling_ratio == 0.25
     assert_read_only(mask.line_selected)
-    assert mask.grid.shape == (8, 16)
-    np.testing.assert_array_equal(mask.grid[0], lines.astype(float))
 
     with pytest.raises(ConfigError):
         SamplingMask(8, 16, np.zeros(16, dtype=bool), 4, 4.0)  # ACS unselected
@@ -134,7 +132,6 @@ def test_apply_mask_zeroes_unselected_lines_only():
 
     batched = apply_mask(np.stack([ksp, 2 * ksp]), mask)
     np.testing.assert_array_equal(batched[1], 2 * out)
-    np.testing.assert_array_equal(mask.apply(ksp), out)
 
     with pytest.raises(ShapeError):
         apply_mask(ksp[:, :12], mask)

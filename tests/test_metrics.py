@@ -17,7 +17,6 @@ from pcsmri import (
     rmse,
     ssim,
 )
-from pcsmri.metrics import PSNR_TEXT_CAP, format_db
 
 
 def _pair(seed, shape=(24, 20)):
@@ -148,9 +147,3 @@ def test_evaluate_restricts_scalars_to_the_support():
     assert out["rmse"] == pytest.approx(rmse(rec[support], gt[support]))
     assert out["nmse"] == pytest.approx(nmse(rec[support], gt[support]))
     assert out["ssim"] == pytest.approx(ssim(rec, gt, support=support))
-
-
-def test_format_db_caps_the_infinite_sentinel():
-    assert format_db(math.inf) == f"{PSNR_TEXT_CAP:.2f}"
-    assert format_db(31.234567) == "31.23"
-    assert float(format_db(12.0)) == 12.0

@@ -120,6 +120,9 @@ def test_sensitivity_set_normalization_invariants():
     assert sens.shape == (24, 24)
     assert_read_only(sens.maps)
     assert_read_only(sens.support)
+    # the x-update denominator reads this cached sum, so it must be exact
+    np.testing.assert_array_equal(sens.energy, energy)
+    assert_read_only(sens.energy)
 
     # normalized phase is preserved: maps keep the profile phases
     ratio = sens.maps[1][sens.support] / profiles[1][sens.support]

@@ -1,6 +1,9 @@
 """Proximal operators: closed forms, transform identities, the TV dual
 solver against a long-run oracle, and the external denoiser protocol."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -290,11 +293,22 @@ def test_external_prior_validates_construction(tmp_path):
         ExternalPrior("denoise", timeout=0)
     prior = ExternalPrior("denoise --flag", exchange_dir=tmp_path)
     assert prior.command == ["denoise", "--flag"]
-    # default exchange dir is a fresh private temp directory
-    a = ExternalPrior("denoise")
-    b = ExternalPrior("denoise")
-    assert a.exchange_dir != b.exchange_dir
-    assert a.exchange_dir.name.startswith("pcsmri-prior-")
+    # without an exchange dir nothing is created until prox runs
+    assert ExternalPrior("denoise").exchange_dir is None
+
+
+def test_external_prior_default_exchange_dir_is_removed(tmp_path, monkeypatch):
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    cmd = make_stub(tmp_path, "argv.py", conftest.ARGV_STUB)
+    prior = ExternalPrior(cmd)
+    x = random_complex(np.random.default_rng(5), (6, 6))
+    np.testing.assert_array_equal(prior.prox(x, 1.0, 0.0), x)
+    in_path = Path((tmp_path / "argv.py.argv").read_text().splitlines()[0])
+    assert in_path.parent.parent == scratch
+    assert in_path.parent.name.startswith("pcsmri-prior-")
+    assert list(scratch.iterdir()) == []
 
 
 def test_external_prior_missing_executable(tmp_path):
@@ -319,6 +333,9 @@ def test_make_prior_factory():
         make_prior("wavelet")
     with pytest.raises(ConfigError, match="bad parameters"):
         make_prior("tikhonov", iterations=5)
+    with pytest.raises(ConfigError, match="tv iterations"):
+        make_prior("total_variation", iterations=7.9)
+    assert make_prior("total_variation", iterations=7.0).iterations == 7
 
 
 def test_prior_kind_labels():

@@ -29,7 +29,7 @@ from pcsmri import (
     solve,
     zero_filled,
 )
-from pcsmri.solver import dc_update, objective, prox_filter, x_update
+from pcsmri.solver import dc_update, objective, x_update
 
 
 def _instance(seed, h=8, w=8, n_coils=3, r=2.0, acs=2):
@@ -360,15 +360,6 @@ def test_inner_solver_warnings_surface_in_state():
     _, state = solve(y, sens, mask, cfg)
     assert len(state.warnings) == 3
     assert "iteration 1" in state.warnings[0]
-
-
-def test_prox_filter_delegates_to_the_prior():
-    rng = np.random.default_rng(34)
-    x = random_complex(rng, (8, 8))
-    prior = TikhonovPrior()
-    np.testing.assert_array_equal(
-        prox_filter(x, prior, 1.5, 0.3), prior.prox(x, 1.5, 0.3)
-    )
 
 
 def test_final_objective_matches_reported_history():

@@ -1,4 +1,4 @@
-"""Centered unitary FFT pair and the small complex-array helpers."""
+"""Centered unitary FFT pair, l2 norm and inner product."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,7 @@ import pytest
 from conftest import random_complex
 from oracles import centered_dft2_apply
 from pcsmri import ShapeError, fft2c, ifft2c
-from pcsmri.transforms import (
-    add,
-    conj_mul,
-    inner_product,
-    l2_norm,
-    mul,
-    scale,
-    sub,
-)
+from pcsmri.transforms import inner_product, l2_norm
 
 # deliberately mixes even, odd and rectangular grids
 SIZES = [(8, 8), (9, 7), (16, 31), (33, 12), (64, 64), (21, 64)]
@@ -103,17 +95,12 @@ def test_elementwise_helpers():
     rng = np.random.default_rng(6)
     a = random_complex(rng, (4, 5))
     b = random_complex(rng, (4, 5))
-    np.testing.assert_array_equal(add(a, b), a + b)
-    np.testing.assert_array_equal(sub(a, b), a - b)
-    np.testing.assert_array_equal(mul(a, b), a * b)
-    np.testing.assert_array_equal(conj_mul(a, b), np.conj(a) * b)
-    np.testing.assert_array_equal(scale(a, 2.0 - 1.0j), a * (2.0 - 1.0j))
     assert l2_norm(a) == pytest.approx(np.linalg.norm(a))
     assert inner_product(a, b) == pytest.approx(np.vdot(a, b))
     with pytest.raises(ShapeError):
-        add(a, b[:, :3])
+        inner_product(a, b[:, :3])
     with pytest.raises(ShapeError):
-        conj_mul(a, b.T)
+        inner_product(a, b.T)
 
 
 def test_inner_product_conjugate_linear_in_first_argument():
