@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .container import load_array, load_image, save_array, save_image
+from .container import _write_header, load_array, load_image, save_array, save_image
 from .errors import (
     ConfigError,
     ContainerError,
@@ -99,6 +99,15 @@ def _parse_floats(value, key):
     return parts[0] if len(parts) == 1 else parts
 
 
+def _parse_number(value, key):
+    try:
+        if math.isfinite(number := float(value)):
+            return number
+    except ValueError:
+        pass
+    raise ConfigError(f"{key} must be a single number and finite, got {value!r}")
+
+
 def _parse_bool(value, key):
     low = value.lower()
     if low in ("1", "true", "yes", "on"):
@@ -119,7 +128,7 @@ def _build_solver_config(fields, default_exchange_dir=None):
             params["iterations"] = _parse_floats(fields["tv_iterations"],
                                                  "tv_iterations")
         if "tv_tol" in fields:
-            params["tol"] = float(fields["tv_tol"])
+            params["tol"] = _parse_number(fields["tv_tol"], "tv_tol")
     elif kind == "external":
         if "external_cmd" not in fields:
             raise ConfigError("external prior requires external_cmd")
@@ -128,11 +137,10 @@ def _build_solver_config(fields, default_exchange_dir=None):
         if exchange is not None:
             params["exchange_dir"] = exchange
         if "external_timeout" in fields:
-            params["timeout"] = float(fields["external_timeout"])
+            params["timeout"] = _parse_number(fields["external_timeout"],
+                                              "external_timeout")
     prior = make_prior(kind, **params)
-    v = _parse_floats(fields["v"], "v") if "v" in fields else 1.0
-    if isinstance(v, list):
-        raise ConfigError("v must be a single number; use v_map for a map")
+    v = _parse_number(fields["v"], "v") if "v" in fields else 1.0
     if "v_map" in fields:
         v, _ = load_image(fields["v_map"])
         v = v.real
@@ -151,9 +159,8 @@ def _build_solver_config(fields, default_exchange_dir=None):
 
 
 def _write_manifest(path, command, pairs):
-    lines = ["pcsmri-manifest v1", f"command: {command}", f"version: {__version__}"]
-    lines += [f"{k}: {v}" for k, v in pairs]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_header(path, "pcsmri-manifest v1",
+                  [("command", command), ("version", __version__), *pairs])
 
 
 def _load_sens(path):
@@ -167,8 +174,8 @@ def _save_sens(path, sens):
 
 
 def cmd_phantom(args):
-    height = args.height or args.size
-    width = args.width or args.size
+    height = args.size if args.height is None else args.height
+    width = args.size if args.width is None else args.width
     img = make_phantom(height, width, args.kind, rng_seed=args.seed,
                        phase_ramp=args.phase_ramp)
     save_image(args.out, img, kind="image")
@@ -182,7 +189,7 @@ def cmd_phantom(args):
 
 
 def cmd_mask(args):
-    height = args.height or args.width
+    height = args.width if args.height is None else args.height
     mask = MASK_KINDS[args.kind](height, args.width, args.r, args.acs, args.seed)
     save_mask(args.out, mask)
     print(f"wrote {mask_summary(mask)} to {args.out}")
@@ -201,8 +208,8 @@ def cmd_sense(args):
 def cmd_simulate(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    height = args.height or args.size
-    width = args.width or args.size
+    height = args.size if args.height is None else args.height
+    width = args.size if args.width is None else args.width
     x_gt, sens, y, mask = simulate_case(
         height, width, n_coils=args.coils, phantom=args.phantom,
         mask_kind=args.mask_kind, r=args.r, acs_width=args.acs,
@@ -225,12 +232,12 @@ def cmd_simulate(args):
     return 0
 
 
-def _load_case(case_dir, estimate_sens, acs_width=None):
+def _load_case(case_dir, estimate_sens):
     case = Path(case_dir)
     y, _ = load_array(case / "kspace", expect_kind="kspace")
     mask = load_mask(case / "mask")
     if estimate_sens or not (case / "sens").exists():
-        sens = estimate_maps(y, acs_width or mask.acs_width, mask=mask)
+        sens = estimate_maps(y, mask.acs_width, mask=mask)
     else:
         sens = _load_sens(case / "sens")
     return y, sens, mask, case
@@ -310,9 +317,7 @@ def _print_table(rows):
 def _eval_pair(recon_path, gt_path, sens_path=None):
     rec, _ = load_image(recon_path)
     gt, _ = load_image(gt_path)
-    support = None
-    if sens_path is not None and Path(sens_path).exists():
-        support = _load_sens(sens_path).support
+    support = None if sens_path is None else _load_sens(sens_path).support
     return evaluate(rec, gt, support=support)
 
 
@@ -320,7 +325,9 @@ def cmd_eval(args):
     rows = []
     if args.case_dirs:
         for case in sorted(Path(d) for d in args.case_dirs):
-            scores = _eval_pair(case / "recon", case / "gt", case / "sens")
+            sens = case / "sens"
+            scores = _eval_pair(case / "recon", case / "gt",
+                                sens if sens.exists() else None)
             rows.append(_format_row(case.name, args.method, scores))
         rows.sort()
     else:
@@ -354,6 +361,8 @@ def _sweep_one(index, combo, y, sens, mask, gt, out_root):
 
 
 def cmd_sweep(args):
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     fields = _read_kv_file(args.grid)
     y, sens, mask, case = _load_case(args.case, args.estimate_sens)
     try:
@@ -374,11 +383,8 @@ def cmd_sweep(args):
             row = f"{case.name},{label},nan,nan,nan,nan"
             return row, -math.inf, f"# error {label}: {exc}"
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run, enumerate(combos)))
-    else:
-        results = [run(item) for item in enumerate(combos)]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        results = list(pool.map(run, enumerate(combos)))
     rows = [row for row, _, _ in results]
     comments = [c for _, _, c in results if c]
     best_row, best_psnr, _ = max(results, key=lambda r: r[1])
@@ -391,10 +397,6 @@ def cmd_sweep(args):
     for comment in comments:
         print(comment)
     return 0
-
-
-def _add_io_args(sub):
-    sub.add_argument("--out", help="output path")
 
 
 def build_parser():

@@ -1,9 +1,9 @@
 """Shared on-disk container for complex arrays: raw binary plus text sidecar.
 
 Binary payload is little-endian interleaved (re, im) float pairs in C
-order, coil-major for multi-coil data. The sidecar (same path, .hdr
-suffix) is human-readable text with a fixed key order so files diff
-cleanly:
+order, coil-major for multi-coil data. The sidecar (the full path plus
+``.hdr``, so ``a.gt`` pairs with ``a.gt.hdr``) is human-readable text
+with a fixed key order so files diff cleanly:
 
     pcsmri-array v1
     kind: kspace
@@ -17,8 +17,14 @@ cleanly:
 pairs, used where bit-level fidelity matters more than size). Plain
 images are stored as coils=1. Round trips are bit-exact for data
 already in the stored dtype.
+
+Masks and manifests share this header codec. Each file is written to a
+temporary sibling and renamed over its target, so a write that fails
+part-way leaves the previous files in place.
 """
 
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +32,59 @@ import numpy as np
 from .errors import ContainerError, ShapeError
 
 _ARRAY_MAGIC = "pcsmri-array v1"
+_ARRAY_FIELDS = {"kind": str, "coils": int, "height": int, "width": int,
+                 "dtype": str, "layout": str}
 _DTYPES = ("<c8", "<c16")
 
 
 def _sidecar(path):
-    return Path(path).with_suffix(".hdr")
+    return Path(str(path) + ".hdr")
+
+
+def _write_header(path, magic, pairs, payload=None):
+    """Write a header file at path, or a payload at path plus its sidecar.
+
+    Every file is written in full before the first rename, payload first.
+    """
+    path = Path(path)
+    header = (f"{magic}\n" + "".join(f"{k}: {v}\n" for k, v in pairs)).encode()
+    files = [(path, header)] if payload is None else [
+        (path, payload), (_sidecar(path), header)]
+    temps = []
+    try:
+        for target, data in files:
+            temps.append(target.with_name(
+                f".{target.name}.{os.getpid()}-{threading.get_ident()}.tmp"))
+            temps[-1].write_bytes(data)
+        for (target, _), temp in zip(files, temps):
+            os.replace(temp, target)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+
+
+def _read_header(path, magic, schema):
+    """The sidecar values of path, converted by ``schema`` (key -> converter).
+
+    Any defect in the sidecar raises ContainerError.
+    """
+    sidecar = _sidecar(path)
+    try:
+        lines = sidecar.read_text().splitlines()
+    except FileNotFoundError:
+        raise ContainerError(f"missing sidecar {sidecar}") from None
+    if not lines or lines[0] != magic:
+        raise ContainerError(f"{sidecar} is not a {magic} sidecar")
+    fields = {}
+    for line in filter(str.strip, lines[1:]):
+        key, sep, value = line.partition(":")
+        if not sep:
+            raise ContainerError(f"malformed sidecar line {line!r} in {sidecar}")
+        fields[key.strip()] = value.strip()
+    try:
+        return [convert(fields[key]) for key, convert in schema.items()]
+    except (KeyError, ValueError) as exc:
+        raise ContainerError(f"bad sidecar field in {sidecar}: {exc}") from None
 
 
 def save_array(path, arr, kind, dtype="<c8"):
@@ -44,34 +98,11 @@ def save_array(path, arr, kind, dtype="<c8"):
         raise ShapeError(f"expected (H, W) or (coils, H, W), got shape {arr.shape}")
     if not kind or any(c.isspace() for c in kind):
         raise ContainerError(f"invalid kind {kind!r}")
-    path = Path(path)
-    payload = np.ascontiguousarray(arr.astype(dtype, copy=False))
-    path.write_bytes(payload.tobytes())
-    coils, height, width = arr.shape
-    header = "\n".join(
-        [
-            _ARRAY_MAGIC,
-            f"kind: {kind}",
-            f"coils: {coils}",
-            f"height: {height}",
-            f"width: {width}",
-            f"dtype: {dtype}",
-            "layout: coil-major",
-        ]
+    _write_header(
+        path, _ARRAY_MAGIC,
+        zip(_ARRAY_FIELDS, [kind, *arr.shape, dtype, "coil-major"]),
+        payload=np.ascontiguousarray(arr.astype(dtype, copy=False)).tobytes(),
     )
-    _sidecar(path).write_text(header + "\n")
-
-
-def _parse_fields(lines, sidecar):
-    fields = {}
-    for line in lines:
-        if not line.strip():
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise ContainerError(f"malformed sidecar line {line!r} in {sidecar}")
-        fields[key.strip()] = value.strip()
-    return fields
 
 
 def load_array(path, expect_kind=None):
@@ -83,23 +114,8 @@ def load_array(path, expect_kind=None):
     """
     path = Path(path)
     sidecar = _sidecar(path)
-    try:
-        text = sidecar.read_text()
-    except FileNotFoundError:
-        raise ContainerError(f"missing array sidecar {sidecar}") from None
-    lines = text.splitlines()
-    if not lines or lines[0] != _ARRAY_MAGIC:
-        raise ContainerError(f"{sidecar} is not a {_ARRAY_MAGIC} sidecar")
-    fields = _parse_fields(lines[1:], sidecar)
-    try:
-        kind = fields["kind"]
-        coils = int(fields["coils"])
-        height = int(fields["height"])
-        width = int(fields["width"])
-        dtype = fields["dtype"]
-        layout = fields["layout"]
-    except (KeyError, ValueError) as exc:
-        raise ContainerError(f"bad sidecar field in {sidecar}: {exc}") from None
+    kind, coils, height, width, dtype, layout = _read_header(
+        path, _ARRAY_MAGIC, _ARRAY_FIELDS)
     if dtype not in _DTYPES:
         raise ContainerError(f"unsupported dtype {dtype!r} in {sidecar}")
     if layout != "coil-major":

@@ -13,13 +13,15 @@ trajectory. All masks use ``acs_width`` contiguous central lines.
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .container import _read_header, _write_header
 from .errors import ConfigError, ContainerError, ShapeError
 
 _MASK_MAGIC = "pcsmri-mask v1"
+_MASK_FIELDS = {"height": int, "width": int, "r": float, "acs_width": int,
+                "kind": str, "seed": lambda v: None if v == "none" else int(v)}
 
 
 def acs_band(width, acs_width):
@@ -175,47 +177,18 @@ def make_preset_mask(name, height, width, seed):
 
 def save_mask(path, mask):
     """Write a mask as width bytes of 0/1 line flags plus a text sidecar."""
-    path = Path(path)
-    mask.line_selected.astype(np.uint8).tofile(path)
-    header = "\n".join(
-        [
-            _MASK_MAGIC,
-            f"height: {mask.height}",
-            f"width: {mask.width}",
-            f"r: {mask.acceleration!r}",
-            f"acs_width: {mask.acs_width}",
-            f"kind: {mask.kind}",
-            f"seed: {'none' if mask.seed is None else mask.seed}",
-        ]
+    seed = "none" if mask.seed is None else mask.seed
+    _write_header(
+        path, _MASK_MAGIC,
+        zip(_MASK_FIELDS, [mask.height, mask.width, mask.acceleration,
+                           mask.acs_width, mask.kind, seed]),
+        payload=mask.line_selected.astype(np.uint8).tobytes(),
     )
-    path.with_suffix(".hdr").write_text(header + "\n")
 
 
 def load_mask(path):
-    path = Path(path)
-    sidecar = path.with_suffix(".hdr")
-    try:
-        text = sidecar.read_text()
-    except FileNotFoundError:
-        raise ContainerError(f"missing mask sidecar {sidecar}") from None
-    lines = text.splitlines()
-    if not lines or lines[0] != _MASK_MAGIC:
-        raise ContainerError(f"{sidecar} is not a {_MASK_MAGIC} sidecar")
-    fields = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        key, _, value = line.partition(":")
-        fields[key.strip()] = value.strip()
-    try:
-        height = int(fields["height"])
-        width = int(fields["width"])
-        r = float(fields["r"])
-        acs_width = int(fields["acs_width"])
-        kind = fields["kind"]
-        seed = None if fields["seed"] == "none" else int(fields["seed"])
-    except (KeyError, ValueError) as exc:
-        raise ContainerError(f"malformed mask sidecar {sidecar}: {exc}") from None
+    height, width, r, acs_width, kind, seed = _read_header(
+        path, _MASK_MAGIC, _MASK_FIELDS)
     flags = np.fromfile(path, dtype=np.uint8)
     if flags.size != width:
         raise ContainerError(

@@ -1,12 +1,15 @@
 """Regularization priors R(z) and their proximal operators.
 
 Each prior answers two questions: the filtering update
-argmin_z (beta/2)||z - x||^2 + lam*R(z), exposed as ``prox(x, beta,
-lam)``, and the penalty value R(z) itself, exposed as ``value(z)`` for
-objective tracking. Analytic kinds solve the prox in closed form; total
-variation runs an inner dual iteration; the external kind shells out to
-a user-supplied denoiser through a file-exchange protocol and reports
-no value.
+argmin_z (beta/2)||z - x||^2 + lam*R(z), and the penalty value R(z)
+itself, exposed as ``value(z)`` for objective tracking. The update has
+one entry point on the base class: ``prox_info(x, beta, lam)`` checks
+beta > 0 and lam >= 0 once and calls the kind's ``_prox(x, beta, lam)``
+hook, which returns ``(z, converged)``; ``prox`` returns z alone.
+Analytic kinds solve the prox in closed form and always converge; total
+variation runs an inner dual iteration and reports whether it met its
+tolerance; the external kind shells out to a user-supplied denoiser
+through a file-exchange protocol and reports no value.
 """
 
 import contextlib
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import load_image, save_image
+from .container import _sidecar, load_image, save_image
 from .errors import ConfigError, PriorExecutionError, ShapeError
 
 _SQRT2 = np.sqrt(2.0)
@@ -30,27 +33,36 @@ def _soft_threshold(x, threshold):
     return scale * x
 
 
-def _check_positive_beta(beta):
-    if beta <= 0:
-        raise ConfigError(f"beta must be > 0, got {beta}")
-
-
-def _check_lam(lam):
-    if lam < 0:
-        raise ConfigError(f"lambda must be >= 0, got {lam}")
+def _check_count(value, name):
+    """Return value as an int >= 1; integral floats such as 3.0 pass."""
+    try:
+        if int(value) == value and value >= 1:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must be an integer >= 1, got {value}")
 
 
 class Prior:
-    """Interface shared by all prior kinds."""
+    """Interface shared by all prior kinds; subclasses implement _prox."""
 
     kind = "base"
 
     def prox(self, x, beta, lam):
-        raise NotImplementedError
+        """argmin_z (beta/2)||z - x||^2 + lam*R(z)."""
+        return self.prox_info(x, beta, lam)[0]
 
     def prox_info(self, x, beta, lam):
         """Like prox, also reporting inner-solver convergence."""
-        return self.prox(x, beta, lam), True
+        if beta <= 0:
+            raise ConfigError(f"beta must be > 0, got {beta}")
+        if lam < 0:
+            raise ConfigError(f"lambda must be >= 0, got {lam}")
+        return self._prox(x, beta, lam)
+
+    def _prox(self, x, beta, lam):
+        """(z, converged) for beta > 0 and lam >= 0, already checked."""
+        raise NotImplementedError
 
     def value(self, z):
         """R(z), or None for kinds whose penalty is not evaluable."""
@@ -62,10 +74,8 @@ class TikhonovPrior(Prior):
 
     kind = "tikhonov"
 
-    def prox(self, x, beta, lam):
-        _check_positive_beta(beta)
-        _check_lam(lam)
-        return (beta / (beta + 2.0 * lam)) * np.asarray(x)
+    def _prox(self, x, beta, lam):
+        return (beta / (beta + 2.0 * lam)) * np.asarray(x), True
 
     def value(self, z):
         return float(np.sum(np.abs(z) ** 2))
@@ -79,10 +89,8 @@ class SoftThresholdPrior(Prior):
 
     kind = "soft_threshold_image"
 
-    def prox(self, x, beta, lam):
-        _check_positive_beta(beta)
-        _check_lam(lam)
-        return _soft_threshold(np.asarray(x), lam / beta)
+    def _prox(self, x, beta, lam):
+        return _soft_threshold(np.asarray(x), lam / beta), True
 
     def value(self, z):
         return float(np.sum(np.abs(z)))
@@ -130,14 +138,12 @@ class HaarPrior(Prior):
 
     kind = "soft_threshold_haar"
 
-    def prox(self, x, beta, lam):
-        _check_positive_beta(beta)
-        _check_lam(lam)
+    def _prox(self, x, beta, lam):
         ll, lh, hl, hh = haar2_forward(x)
         t = lam / beta
         return haar2_inverse(
             ll, _soft_threshold(lh, t), _soft_threshold(hl, t), _soft_threshold(hh, t)
-        )
+        ), True
 
     def value(self, z):
         _, lh, hl, hh = haar2_forward(z)
@@ -206,21 +212,12 @@ class TotalVariationPrior(Prior):
     kind = "total_variation"
 
     def __init__(self, iterations=50, tol=1e-6):
-        if int(iterations) != iterations or iterations < 1:
-            raise ConfigError(
-                f"tv iterations must be an integer >= 1, got {iterations}"
-            )
-        if tol <= 0:
+        if not tol > 0:
             raise ConfigError(f"tv tol must be > 0, got {tol}")
-        self.iterations = int(iterations)
+        self.iterations = _check_count(iterations, "tv iterations")
         self.tol = float(tol)
 
-    def prox(self, x, beta, lam):
-        return self.prox_info(x, beta, lam)[0]
-
-    def prox_info(self, x, beta, lam):
-        _check_positive_beta(beta)
-        _check_lam(lam)
+    def _prox(self, x, beta, lam):
         z, converged, _ = tv_denoise(
             x, lam / beta, iterations=self.iterations, tol=self.tol
         )
@@ -261,9 +258,7 @@ class ExternalPrior(Prior):
         self.exchange_dir = None if exchange_dir is None else Path(exchange_dir)
         self.timeout = float(timeout)
 
-    def prox(self, x, beta, lam):
-        _check_positive_beta(beta)
-        _check_lam(lam)
+    def _prox(self, x, beta, lam):
         x = np.asarray(x)
         if self.exchange_dir is None:
             exchange = tempfile.TemporaryDirectory(prefix="pcsmri-prior-")
@@ -274,7 +269,7 @@ class ExternalPrior(Prior):
             exchange_dir.mkdir(parents=True, exist_ok=True)
             in_path = exchange_dir / "prior_in"
             out_path = exchange_dir / "prior_out"
-            for stale in (out_path, out_path.with_suffix(".hdr")):
+            for stale in (out_path, _sidecar(out_path)):
                 stale.unlink(missing_ok=True)
             save_image(in_path, x, kind="image", dtype="<c16")
             argv = self.command + [str(in_path), str(out_path), repr(float(beta)),
@@ -305,7 +300,7 @@ class ExternalPrior(Prior):
                 raise PriorExecutionError(
                     f"external prior returned shape {z.shape}, expected {x.shape}"
                 )
-            return z
+            return z, True
 
     def value(self, z):
         return None

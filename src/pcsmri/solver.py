@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, DivergenceError, ProtocolError
 from .masks import apply_mask
 from .operators import _check_geometry, zero_filled
-from .priors import Prior
+from .priors import Prior, _check_count
 from .transforms import fft2c, ifft2c, l2_norm
 
 
@@ -84,11 +84,7 @@ class SolverConfig:
     def __post_init__(self):
         if not isinstance(self.prior, Prior):
             raise ConfigError(f"prior must be a Prior instance, got {self.prior!r}")
-        if int(self.iterations) != self.iterations or self.iterations < 1:
-            raise ConfigError(
-                f"iterations must be an integer >= 1, got {self.iterations}"
-            )
-        self.iterations = int(self.iterations)
+        self.iterations = _check_count(self.iterations, "iterations")
         self.alpha = _as_schedule(self.alpha, "alpha", self.iterations, False)
         self.beta = _as_schedule(self.beta, "beta", self.iterations, False)
         self.lam = _as_schedule(self.lam, "lambda", self.iterations, True)

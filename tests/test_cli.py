@@ -349,12 +349,35 @@ def test_config_and_usage_errors_exit_2(tmp_path, capsys):
     assert "iterations must be an integer >= 1" in expect_2("iterations = 3.5\n")
     assert "tv iterations" in expect_2(
         "prior = total_variation\ntv_iterations = 7.9\n")
+    for count in ("nan", "inf", "3,4"):
+        assert "iterations must be an integer >= 1" in expect_2(
+            f"iterations = {count}\n")
+    assert "tv iterations" in expect_2(
+        "prior = total_variation\ntv_iterations = nan\n")
+    assert "tv_tol must be a single number" in expect_2(
+        "prior = total_variation\ntv_tol = abc\n")
+    assert "external_timeout must be a single number" in expect_2(
+        "prior = external\nexternal_cmd = denoise\nexternal_timeout = x\n")
     assert "external prior requires external_cmd" in expect_2(
         "prior = external\n")
 
     rc = main(["eval", "--recon", str(case / "recon")])
     err = capsys.readouterr().err
     assert rc == 2 and "eval needs" in err
+
+    # explicit sizes and job counts are checked, never replaced by defaults
+    assert main(["phantom", "--height", "0", "--size", "32",
+                 "--out", str(tmp_path / "ph")]) == 2
+    assert not (tmp_path / "ph").exists()
+    assert main(["simulate", "--width", "0", "--out", str(tmp_path / "sim")]) == 2
+    assert main(["mask", "--width", "32", "--height", "0", "--r", "2",
+                 "--acs", "8", "--out", str(tmp_path / "m")]) == 2
+    grid = write_config(tmp_path / "grid", GRID_2X2)
+    for jobs in ("0", "-4"):
+        assert main(["sweep", "--case", str(case), "--grid", str(grid),
+                     "--jobs", jobs]) == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert not (case / "sweep").exists()
 
     # argparse failures map to the same code
     assert main([]) == 2
@@ -373,6 +396,11 @@ def test_missing_inputs_exit_3(tmp_path, capsys):
     case = small_case_dir(tmp_path)
     rc = main(["eval", "--recon", str(tmp_path / "missing"),
                "--gt", str(case / "gt")])
+    assert rc == 3
+    # an explicit --sens that does not exist is an error, not "no support"
+    save_image(case / "recon", np.ones((32, 32)), kind="recon")
+    rc = main(["eval", "--recon", str(case / "recon"), "--gt", str(case / "gt"),
+               "--sens", str(tmp_path / "no_sens")])
     assert rc == 3
     capsys.readouterr()
 
@@ -494,6 +522,14 @@ def test_eval_batch_rows_sorted_by_case(tmp_path, capsys):
     assert lines[0] == "case,method,PSNR,SSIM,RMSE,NMSE"
     assert lines[1].startswith("alpha,hqs,")
     assert lines[2].startswith("zeta,hqs,")
+
+    # in batch mode a case without sens maps is scored on the full grid
+    (tmp_path / "zeta" / "sens").unlink()
+    assert run_cli("eval", "--case-dirs", tmp_path / "zeta",
+                   tmp_path / "alpha", "--report", report) == 0
+    capsys.readouterr()
+    assert report.read_text().splitlines()[1] == lines[1]
+    assert report.read_text().splitlines()[2].startswith("zeta,hqs,")
 
 
 GRID_2X2 = {

@@ -1,7 +1,13 @@
 """Binary array container: bit-exact round trips and strict validation."""
 
+import os
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_complex
 from pcsmri import (
@@ -9,8 +15,11 @@ from pcsmri import (
     ShapeError,
     load_array,
     load_image,
+    load_mask,
+    make_random_mask,
     save_array,
     save_image,
+    save_mask,
 )
 
 
@@ -164,3 +173,66 @@ def test_float32_storage_quantizes_float64_data(tmp_path):
     save_image(tmp_path / "exact", value, kind="image", dtype="<c16")
     back16, _ = load_image(tmp_path / "exact")
     assert back16[0, 0] == value[0, 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(shapes=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 6),
+                                 st.integers(1, 6)), min_size=2, max_size=2),
+       suffixes=st.lists(st.sampled_from(["", ".gt", ".kspace", ".v2.sens"]),
+                         min_size=2, max_size=2, unique=True),
+       dtype=st.sampled_from(["<c8", "<c16"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_round_trip_property_for_names_sharing_a_stem(shapes, suffixes, dtype,
+                                                      seed):
+    rng = np.random.default_rng(seed)
+    arrays = [random_complex(rng, shape).astype(dtype) for shape in shapes]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"scan{suffix}" for suffix in suffixes]
+        for index, (path, arr) in enumerate(zip(paths, arrays)):
+            save_array(path, arr, kind=f"kind{index}", dtype=dtype)
+        for index, (path, arr) in enumerate(zip(paths, arrays)):
+            back, _ = load_array(path, expect_kind=f"kind{index}")
+            assert back.dtype == np.dtype(dtype)
+            assert back.tobytes() == arr.tobytes()
+        assert sorted(os.listdir(tmp)) == sorted(
+            name for p in paths for name in (p.name, p.name + ".hdr"))
+
+
+@pytest.mark.parametrize("failure", ["sidecar write", "first rename"])
+def test_failed_save_leaves_previous_pair_loadable(tmp_path, monkeypatch,
+                                                   failure):
+    old = random_complex(np.random.default_rng(7), (2, 3, 4)).astype("<c16")
+    old_mask = make_random_mask(4, 16, 2.0, 4, seed=0)
+    new_mask = make_random_mask(4, 16, 2.0, 4, seed=1)
+    assert not np.array_equal(old_mask.line_selected, new_mask.line_selected)
+    save_array(tmp_path / "a", old, kind="kspace", dtype="<c16")
+    save_mask(tmp_path / "m", old_mask)
+    listing = sorted(os.listdir(tmp_path))
+
+    if failure == "sidecar write":
+        real_write = Path.write_bytes
+
+        def write_half_then_fail(self, data):
+            # the payload is complete; its sidecar dies half-way
+            if self.name.startswith((".a.hdr", ".m.hdr")):
+                real_write(self, data[: len(data) // 2])
+                raise OSError("disk full")
+            return real_write(self, data)
+
+        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+    else:
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        save_array(tmp_path / "a", old + 1, kind="kspace", dtype="<c16")
+    with pytest.raises(OSError):
+        save_mask(tmp_path / "m", new_mask)
+    monkeypatch.undo()
+
+    back, _ = load_array(tmp_path / "a", expect_kind="kspace")
+    assert back.tobytes() == old.tobytes()
+    assert np.array_equal(load_mask(tmp_path / "m").line_selected,
+                          old_mask.line_selected)
+    assert sorted(os.listdir(tmp_path)) == listing

@@ -1,7 +1,12 @@
 """Cartesian line masks: budgets, ACS handling, presets and mask I/O."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_read_only
 from pcsmri import (
@@ -11,10 +16,12 @@ from pcsmri import (
     ShapeError,
     acs_band,
     apply_mask,
+    load_array,
     load_mask,
     make_equispaced_mask,
     make_preset_mask,
     make_random_mask,
+    save_array,
     save_mask,
 )
 from pcsmri.masks import PRESETS, mask_summary
@@ -187,11 +194,41 @@ def test_mask_load_error_paths(tmp_path):
     with pytest.raises(ContainerError):
         load_mask(bad_field)
 
+    no_colon = tmp_path / "colon"
+    save_mask(no_colon, mask)
+    header = tmp_path / "colon.hdr"
+    header.write_text(header.read_text() + "stray line\n")
+    with pytest.raises(ContainerError):
+        load_mask(no_colon)
+
     truncated = tmp_path / "short"
     save_mask(truncated, mask)
     truncated.write_bytes(truncated.read_bytes()[:-2])
     with pytest.raises(ContainerError):
         load_mask(truncated)
+
+
+@settings(max_examples=40, deadline=None)
+@given(height=st.integers(1, 9),
+       lines=st.lists(st.booleans(), min_size=1, max_size=40),
+       acceleration=st.floats(1.0, 64.0),
+       seed=st.none() | st.integers(0, 2**63 - 1),
+       name=st.sampled_from(["m", "a.mask", "scan.v2.mask"]))
+def test_mask_round_trip_property(height, lines, acceleration, seed, name):
+    mask = SamplingMask(height, len(lines), np.array(lines), 0, acceleration,
+                        "random", seed)
+    image = np.ones((height, len(lines)), dtype=complex)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        twin = path.with_suffix(".gt")  # same stem, its own sidecar
+        save_mask(path, mask)
+        save_array(twin, image, kind="gt")
+        back = load_mask(path)
+        assert load_array(twin, expect_kind="gt")[0].shape == (1,) + image.shape
+    np.testing.assert_array_equal(back.line_selected, mask.line_selected)
+    assert (back.height, back.width, back.acs_width) == (height, len(lines), 0)
+    assert (back.acceleration, back.kind, back.seed) == (acceleration, "random",
+                                                         seed)
 
 
 def test_mask_summary_line():
