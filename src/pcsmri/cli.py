@@ -33,7 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .container import _write_header, load_array, load_image, save_array, save_image
+from .container import (_write_files, _write_header, load_array, load_image,
+                        save_array, save_image)
 from .errors import (
     ConfigError,
     ContainerError,
@@ -69,25 +70,20 @@ DEFAULT_LAMBDA = {
 REPORT_COLUMNS = ("case", "method", "PSNR", "SSIM", "RMSE", "NMSE")
 
 
-def _parse_kv_text(text, source):
-    fields = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _read_kv_file(path):
+    path, fields = Path(path), {}
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         if key in fields:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         fields[key] = value
     return fields
-
-
-def _read_kv_file(path):
-    path = Path(path)
-    return _parse_kv_text(path.read_text(), str(path))
 
 
 def _parse_floats(value, key):
@@ -140,10 +136,11 @@ def _build_solver_config(fields, default_exchange_dir=None):
             params["timeout"] = _parse_number(fields["external_timeout"],
                                               "external_timeout")
     prior = make_prior(kind, **params)
+    if "v" in fields and "v_map" in fields:
+        raise ConfigError("v and v_map are exclusive; give one of them")
     v = _parse_number(fields["v"], "v") if "v" in fields else 1.0
     if "v_map" in fields:
-        v, _ = load_image(fields["v_map"])
-        v = v.real
+        v = load_image(fields["v_map"])[0].real
     lam = fields.get("lambda")
     lam = DEFAULT_LAMBDA[kind] if lam is None else _parse_floats(lam, "lambda")
     return SolverConfig(
@@ -251,7 +248,7 @@ def _write_objective_log(path, state, extra):
         lines.append(f"# warning: {warning}")
     lines += [f"{t} {value!r}" for t, value in enumerate(state.objective_history)]
     lines += extra
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_files([(path, ("\n".join(lines) + "\n").encode())])
 
 
 def _run_recon(y, sens, mask, config, out_path, gt=None):
@@ -307,6 +304,11 @@ def _format_row(case, method, scores):
     )
 
 
+def _write_report(path, lines):
+    text = ",".join(REPORT_COLUMNS) + "\n" + "\n".join(lines) + "\n"
+    _write_files([(path, text.encode())])
+
+
 def _print_table(rows):
     cells = [REPORT_COLUMNS] + [r.split(",") for r in rows]
     widths = [max(len(cell) for cell in column) for column in zip(*cells)]
@@ -337,18 +339,14 @@ def cmd_eval(args):
         rows.append(_format_row(args.case, args.method, scores))
     _print_table(rows)
     if args.report:
-        text = ",".join(REPORT_COLUMNS) + "\n" + "\n".join(rows) + "\n"
-        Path(args.report).write_text(text)
+        _write_report(args.report, rows)
     return 0
 
 
 def _expand_grid(fields):
     keys = sorted(fields)
     lists = [[v.strip() for v in fields[k].split(",")] for k in keys]
-    combos = []
-    for values in itertools.product(*lists):
-        combos.append(dict(zip(keys, values)))
-    return combos
+    return [dict(zip(keys, values)) for values in itertools.product(*lists)]
 
 
 def _sweep_one(index, combo, y, sens, mask, gt, out_root):
@@ -390,9 +388,7 @@ def cmd_sweep(args):
     best_row, best_psnr, _ = max(results, key=lambda r: r[1])
     if math.isfinite(best_psnr):
         comments.append(f"# best: {best_row.split(',')[1]} psnr={best_psnr:.4f}")
-    report = args.report or out_root / "report.csv"
-    text = ",".join(REPORT_COLUMNS) + "\n" + "\n".join(rows + comments) + "\n"
-    Path(report).write_text(text)
+    _write_report(args.report or out_root / "report.csv", rows + comments)
     _print_table(rows)
     for comment in comments:
         print(comment)

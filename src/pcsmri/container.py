@@ -18,9 +18,10 @@ pairs, used where bit-level fidelity matters more than size). Plain
 images are stored as coils=1. Round trips are bit-exact for data
 already in the stored dtype.
 
-Masks and manifests share this header codec. Each file is written to a
-temporary sibling and renamed over its target, so a write that fails
-part-way leaves the previous files in place.
+Masks and manifests share this header codec. Each file, and every text
+artifact of the CLI, is written to a temporary sibling and renamed over
+its target, so a write that fails part-way leaves the previous files in
+place.
 """
 
 import os
@@ -41,15 +42,14 @@ def _sidecar(path):
     return Path(str(path) + ".hdr")
 
 
-def _write_header(path, magic, pairs, payload=None):
-    """Write a header file at path, or a payload at path plus its sidecar.
+def _write_files(files):
+    """Write (path, bytes) pairs, each to a temporary sibling first.
 
-    Every file is written in full before the first rename, payload first.
+    Every file is written in full before the first rename, in the given
+    order, so an interrupted write leaves the previous files in place.
+    An OSError names the requested path, not its temporary.
     """
-    path = Path(path)
-    header = (f"{magic}\n" + "".join(f"{k}: {v}\n" for k, v in pairs)).encode()
-    files = [(path, header)] if payload is None else [
-        (path, payload), (_sidecar(path), header)]
+    files = [(Path(target), data) for target, data in files]
     temps = []
     try:
         for target, data in files:
@@ -58,9 +58,20 @@ def _write_header(path, magic, pairs, payload=None):
             temps[-1].write_bytes(data)
         for (target, _), temp in zip(files, temps):
             os.replace(temp, target)
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, str(target)) from None
     finally:
         for temp in temps:
             temp.unlink(missing_ok=True)
+
+
+def _write_header(path, magic, pairs, payload=None):
+    """Write a header file at path, or a payload at path plus its sidecar."""
+    header = (f"{magic}\n" + "".join(f"{k}: {v}\n" for k, v in pairs)).encode()
+    _write_files([(path, header)] if payload is None else [
+        (path, payload), (_sidecar(path), header)])
 
 
 def _read_header(path, magic, schema):
@@ -105,6 +116,19 @@ def save_array(path, arr, kind, dtype="<c8"):
     )
 
 
+def _read_payload(path, expected):
+    """The bytes of path, which must hold exactly ``expected`` of them."""
+    try:
+        raw = Path(path).read_bytes()
+    except FileNotFoundError:
+        raise ContainerError(f"missing payload file {path}") from None
+    if len(raw) != expected:
+        raise ContainerError(
+            f"{path} holds {len(raw)} bytes, sidecar implies {expected}"
+        )
+    return raw
+
+
 def load_array(path, expect_kind=None):
     """Read an array written by save_array.
 
@@ -112,7 +136,6 @@ def load_array(path, expect_kind=None):
     stored dtype. Raises ContainerError on any structural problem, and
     on kind mismatch when ``expect_kind`` is given.
     """
-    path = Path(path)
     sidecar = _sidecar(path)
     kind, coils, height, width, dtype, layout = _read_header(
         path, _ARRAY_MAGIC, _ARRAY_FIELDS)
@@ -124,15 +147,7 @@ def load_array(path, expect_kind=None):
         raise ContainerError(f"non-positive dimensions in {sidecar}")
     if expect_kind is not None and kind != expect_kind:
         raise ContainerError(f"{path} holds kind={kind!r}, expected {expect_kind!r}")
-    try:
-        raw = path.read_bytes()
-    except FileNotFoundError:
-        raise ContainerError(f"missing array file {path}") from None
-    expected = coils * height * width * np.dtype(dtype).itemsize
-    if len(raw) != expected:
-        raise ContainerError(
-            f"{path} holds {len(raw)} bytes, sidecar implies {expected}"
-        )
+    raw = _read_payload(path, coils * height * width * np.dtype(dtype).itemsize)
     arr = np.frombuffer(raw, dtype=dtype).reshape(coils, height, width)
     return arr.copy(), kind
 

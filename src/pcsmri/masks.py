@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import _read_header, _write_header
-from .errors import ConfigError, ContainerError, ShapeError
+from .container import _read_header, _read_payload, _write_header
+from .errors import ConfigError, ShapeError
 
 _MASK_MAGIC = "pcsmri-mask v1"
 _MASK_FIELDS = {"height": int, "width": int, "r": float, "acs_width": int,
@@ -189,12 +189,8 @@ def save_mask(path, mask):
 def load_mask(path):
     height, width, r, acs_width, kind, seed = _read_header(
         path, _MASK_MAGIC, _MASK_FIELDS)
-    flags = np.fromfile(path, dtype=np.uint8)
-    if flags.size != width:
-        raise ContainerError(
-            f"{path} holds {flags.size} line flags, header says {width}"
-        )
-    return SamplingMask(height, width, flags.astype(bool), acs_width, r, kind, seed)
+    flags = np.frombuffer(_read_payload(path, width), dtype=np.uint8)
+    return SamplingMask(height, width, flags, acs_width, r, kind, seed)
 
 
 def mask_summary(mask):

@@ -2,18 +2,19 @@
 
 The penalized objective being minimized is
 
-    F(z, m, x) = 1/2 sum_l ||U F m_l - y_l||^2 + lam*R(z)
+    F(z, m, x) = 1/2 sum_l ||sqrt(w) U (F m_l - y_l)||^2 + lam*R(z)
                + (alpha/2) sum_l ||m_l - S_l x||^2
                + (beta/2) ||z - x||^2
 
 and one iteration alternates three exact block updates, each reading
 the previous x: the filtering step z = prox_{lam/beta R}(x), the
 per-coil data-consistency step on sampled k-space bins, and the
-closed-form auxiliary update for x. With exact data consistency
-(dc_blend_v = 1) every block is minimized exactly (TV up to its inner
-tolerance), so F is non-increasing across iterations. A soft blend
-(v < 1) moves sampled bins only part of the way, so its DC step is not
-the minimizer of this F and the reported value can rise.
+closed-form auxiliary update for x. The data weight
+w = v*alpha/(alpha + 1 - v) of the blend v (a scalar or a per-bin map)
+makes the blended DC step the exact per-bin minimizer; w = 1 for exact
+consistency (v = 1). Every block is therefore minimized exactly (TV up
+to its inner tolerance), so F is non-increasing across iterations for
+every v as long as alpha, beta and lam stay constant.
 
 m_l lives in image domain throughout; its k-space form only appears
 transiently inside the data-consistency update.
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, ProtocolError
-from .masks import apply_mask
 from .operators import _check_geometry, zero_filled
 from .priors import Prior, _check_count
 from .transforms import fft2c, ifft2c, l2_norm
@@ -48,17 +48,15 @@ def _as_schedule(value, name, t_total, allow_zero):
 
 
 def _check_blend(v):
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim == 0:
-        v = float(arr)
-        if not 0.0 <= v <= 1.0:
-            raise ConfigError(f"dc_blend_v must lie in [0, 1], got {v}")
-        return v
-    if arr.ndim != 2:
+    """A scalar v in [0, 1] as float, or a read-only (H, W) map of them."""
+    arr = np.array(v, dtype=float)
+    if arr.ndim not in (0, 2):
         raise ConfigError("dc_blend_v must be a scalar or a 2D per-pixel map")
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-        raise ConfigError("dc_blend_v map values must lie in [0, 1]")
-    arr = arr.copy()
+    bad = arr[~((arr >= 0.0) & (arr <= 1.0))]
+    if bad.size:
+        raise ConfigError(f"dc_blend_v must lie in [0, 1], got {bad[0]}")
+    if arr.ndim == 0:
+        return float(arr)
     arr.setflags(write=False)
     return arr
 
@@ -115,8 +113,9 @@ def dc_update(x_prev, y, sens, mask, alpha, v=1.0):
     Sampled bins move to (y + alpha*k)/(1 + alpha), the exact minimizer
     of the coil subproblem; unsampled bins keep k = fft2c(S_l * x_prev).
     The soft weight v blends the consistent value with the untouched one
-    on sampled bins (v=1 is exact consistency; for v < 1 the step is no
-    longer the minimizer of the objective above). Returns per-coil images.
+    on sampled bins (v=1 is exact consistency); the blend is the exact
+    minimizer for the data weight w that ``objective`` applies for the
+    same v. Returns per-coil images.
     """
     if alpha <= 0:
         raise ConfigError(f"alpha must be > 0, got {alpha}")
@@ -141,28 +140,24 @@ def x_update(z, m, sens, alpha, beta):
     return num / (beta + alpha * sens.energy)
 
 
-def _objective_value(z, m, x, y, sens, mask, alpha, beta, lam, prior):
-    data = 0.5 * l2_norm(apply_mask(fft2c(m) - y, mask)) ** 2
-    coupling = 0.5 * alpha * l2_norm(m - sens.maps * x) ** 2
-    tie = 0.5 * beta * l2_norm(z - x) ** 2
-    total = data + coupling + tie
-    r = prior.value(z)
-    if r is None:
-        return total, False
-    return total + lam * r, True
-
-
-def objective(state, y, sens, mask, alpha, beta, lam, prior):
+def objective(state, y, sens, mask, alpha, beta, lam, prior, v=1.0):
     """Evaluate the full penalized objective at the state's iterates.
 
-    For the external prior R is unknown; the value is reported without
-    the lam*R term (state.objective_includes_prior records this).
+    Sampled bins of the data term carry the weight w = v*alpha/(alpha +
+    1 - v) for the DC blend v (1 for exact consistency). For the external
+    prior R is unknown; the value is reported without the lam*R term
+    (state.objective_includes_prior records this).
     """
     _check_geometry(sens, mask, coils=y)
-    value, _ = _objective_value(
-        state.z, state.m, state.x, y, sens, mask, alpha, beta, lam, prior
-    )
-    return value
+    v = _check_blend(v)
+    w = np.where(mask.line_selected, v * alpha / (alpha + (1.0 - v)), 0.0)
+    residual = fft2c(state.m) - y
+    residual *= np.sqrt(w)
+    total = (0.5 * l2_norm(residual) ** 2
+             + 0.5 * alpha * l2_norm(state.m - sens.maps * state.x) ** 2
+             + 0.5 * beta * l2_norm(state.z - state.x) ** 2)
+    r = prior.value(state.z)
+    return total if r is None else total + lam * r
 
 
 def _check_finite(arr, step, t):
@@ -175,11 +170,11 @@ def _check_finite(arr, step, t):
 def solve(y, sens, mask, config):
     """Run the full reconstruction from measured k-space.
 
-    Starts from the zero-filled estimate and alternates the three block
-    updates for config.iterations rounds. Returns (x, state); the state
-    carries the objective history (entry 0 is the starting point with
-    z = x and m_l = S_l x, so the trace is non-increasing for exact
-    priors with dc_blend_v = 1) and inner-solver warnings.
+    Starts from the zero-filled estimate (t = 0: z = x and m_l = S_l x)
+    and alternates the three block updates for config.iterations rounds.
+    Returns (x, state); the state carries the objective at t = 0..T,
+    evaluated with alpha, beta, lam of round max(t, 1) and the blend v,
+    and inner-solver warnings.
     """
     _check_geometry(sens, mask, coils=y)
     if mask.n_selected == 0:
@@ -187,37 +182,24 @@ def solve(y, sens, mask, config):
     prior = config.prior
     x = zero_filled(y, sens)
     _check_finite(x, "initial estimate", 0)
-    z = x.copy()
-    m = sens.maps * x
-    a1, b1, l1 = config.params_at(1)
-    value, includes_prior = _objective_value(
-        z, m, x, y, sens, mask, a1, b1, l1, prior
-    )
-    state = SolverState(
-        x=x, z=z, m=m, t=0,
-        objective_history=[value],
-        objective_includes_prior=includes_prior,
-    )
-    if config.record_history:
-        state.x_history.append(x.copy())
-    for t in range(1, config.iterations + 1):
-        alpha, beta, lam = config.params_at(t)
-        z, converged = prior.prox_info(x, beta, lam)
-        if not converged:
-            state.warnings.append(
-                f"prior inner solver did not reach tolerance at iteration {t}"
-            )
-        _check_finite(z, "filtering step", t)
-        m = dc_update(x, y, sens, mask, alpha, config.dc_blend_v)
-        _check_finite(m, "data-consistency step", t)
-        x = x_update(z, m, sens, alpha, beta)
-        _check_finite(x, "auxiliary update", t)
-        value, includes_prior = _objective_value(
-            z, m, x, y, sens, mask, alpha, beta, lam, prior
-        )
-        state.x, state.z, state.m, state.t = x, z, m, t
-        state.objective_history.append(value)
-        state.objective_includes_prior &= includes_prior
+    state = SolverState(x=x, z=x.copy(), m=sens.maps * x, t=0,
+                        objective_includes_prior=prior.value(x) is not None)
+    for t in range(config.iterations + 1):
+        alpha, beta, lam = config.params_at(max(t, 1))
+        if t:
+            z, converged = prior.prox_info(state.x, beta, lam)
+            if not converged:
+                state.warnings.append(
+                    f"prior inner solver did not reach tolerance at iteration {t}"
+                )
+            _check_finite(z, "filtering step", t)
+            m = dc_update(state.x, y, sens, mask, alpha, config.dc_blend_v)
+            _check_finite(m, "data-consistency step", t)
+            x = x_update(z, m, sens, alpha, beta)
+            _check_finite(x, "auxiliary update", t)
+            state.x, state.z, state.m, state.t = x, z, m, t
+        state.objective_history.append(objective(
+            state, y, sens, mask, alpha, beta, lam, prior, config.dc_blend_v))
         if config.record_history:
-            state.x_history.append(x.copy())
-    return x, state
+            state.x_history.append(state.x.copy())
+    return state.x, state

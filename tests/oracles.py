@@ -179,9 +179,16 @@ def penalty_scalar(kind, z):
     raise ValueError(f"no scalar penalty for kind {kind!r}")
 
 
-def objective_scalar_oracle(z, m, x, y, maps, line_selected, alpha, beta, lam, kind):
-    """Full penalized objective recomputed with Python loops."""
+def objective_scalar_oracle(z, m, x, y, maps, line_selected, alpha, beta, lam, kind,
+                            v=1.0):
+    """Full penalized objective recomputed with Python loops.
+
+    A sampled bin's data term carries the weight v*alpha/(1 + alpha - v)
+    for which the blended DC step (see dc_blend_scalar_oracle) minimizes
+    it: v/(1 + alpha) = weight/(weight + alpha). v may be a per-bin map.
+    """
     nc, h, w = m.shape
+    v = np.broadcast_to(np.asarray(v, float), (h, w))
     fh = centered_dft_matrix(h)
     fw = centered_dft_matrix(w)
     total = 0.0
@@ -190,7 +197,8 @@ def objective_scalar_oracle(z, m, x, y, maps, line_selected, alpha, beta, lam, k
         for i in range(h):
             for j in range(w):
                 if line_selected[j]:
-                    total += 0.5 * abs(k[i, j] - y[coil, i, j]) ** 2
+                    weight = v[i, j] * alpha / (1.0 + alpha - v[i, j])
+                    total += 0.5 * weight * abs(k[i, j] - y[coil, i, j]) ** 2
     for coil in range(nc):
         for i in range(h):
             for j in range(w):

@@ -360,6 +360,16 @@ def test_config_and_usage_errors_exit_2(tmp_path, capsys):
         "prior = external\nexternal_cmd = denoise\nexternal_timeout = x\n")
     assert "external prior requires external_cmd" in expect_2(
         "prior = external\n")
+    v_map = tmp_path / "vmap"
+    save_image(v_map, np.full((32, 32), 0.2), kind="image")
+    assert "v and v_map are exclusive" in expect_2(
+        f"v = 0.9\nv_map = {v_map}\n")
+    nan_map = np.full((32, 32), 0.5)
+    nan_map[:, 3] = np.nan  # also on a column the mask may leave unsampled
+    save_image(tmp_path / "nanmap", nan_map, kind="image")
+    assert "dc_blend_v must lie in [0, 1]" in expect_2(
+        f"v_map = {tmp_path / 'nanmap'}\n")
+    assert not (case / "recon").exists()
 
     rc = main(["eval", "--recon", str(case / "recon")])
     err = capsys.readouterr().err
@@ -384,6 +394,34 @@ def test_config_and_usage_errors_exit_2(tmp_path, capsys):
     assert main(["recon"]) == 2
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_interrupted_objective_log_write_keeps_previous_log(tmp_path,
+                                                           monkeypatch, capsys):
+    case = small_case_dir(tmp_path)
+    assert run_cli("recon", "--case", case) == 0
+    before = (case / "objective.log").read_bytes()
+    config = write_config(tmp_path / "cfg", {"iterations": "5"})
+    real_write = Path.write_bytes
+
+    def write_half_then_fail(self, data):
+        if self.name.startswith(".objective.log"):
+            real_write(self, data[: len(data) // 2])
+            raise OSError(28, "No space left on device", str(self))
+        return real_write(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+    assert run_cli("recon", "--case", case, "--config", config) == 3
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    # the error names the requested file, not its temporary sibling
+    assert f"'{case / 'objective.log'}'" in err and ".tmp" not in err
+    assert (case / "objective.log").read_bytes() == before
+    assert not list(case.glob(".*.tmp"))
+
+    assert run_cli("phantom", "--out", tmp_path / "nodir" / "ph") == 3
+    err = capsys.readouterr().err
+    assert f"'{tmp_path / 'nodir' / 'ph'}'" in err and ".tmp" not in err
 
 
 def test_missing_inputs_exit_3(tmp_path, capsys):

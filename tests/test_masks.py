@@ -207,6 +207,12 @@ def test_mask_load_error_paths(tmp_path):
     with pytest.raises(ContainerError):
         load_mask(truncated)
 
+    no_payload = tmp_path / "gone"
+    save_mask(no_payload, mask)
+    no_payload.unlink()
+    with pytest.raises(ContainerError, match="missing payload"):
+        load_mask(no_payload)
+
 
 @settings(max_examples=40, deadline=None)
 @given(height=st.integers(1, 9),

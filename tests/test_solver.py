@@ -1,7 +1,11 @@
 """Block updates against dense oracles, objective bookkeeping, limits."""
 
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest
 from conftest import make_stub, random_complex
@@ -141,6 +145,15 @@ def test_objective_matches_scalar_recomputation():
             z, m, x, y, sens.maps, mask.line_selected, 0.7, 0.3, 0.05, kind
         )
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+    # a soft blend weights sampled bins by v*alpha/(1 + alpha - v)
+    for v in (0.35, rng.uniform(0.0, 1.0, (8, 8))):
+        got = objective(state, y, sens, mask, 0.7, 0.3, 0.05,
+                        make_prior("soft_threshold_haar"), v)
+        want = objective_scalar_oracle(
+            z, m, x, y, sens.maps, mask.line_selected, 0.7, 0.3, 0.05,
+            "soft_threshold_haar", v=v,
+        )
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_objective_skips_unknown_external_penalty(tmp_path):
@@ -184,6 +197,34 @@ def test_objective_history_non_increasing_tv_within_inner_tolerance():
     hist = np.asarray(state.objective_history)
     # the filtering step is exact only up to the inner dual tolerance
     assert np.all(np.diff(hist) <= 1e-6 * max(1.0, hist[0]))
+
+
+@cache
+def _blend_case():
+    return simulate_case(32, 32, n_coils=2, r=3.0, acs_width=6,
+                         noise_sigma=0.02, seed=4)
+
+
+def _random_v_map(seed):
+    rng = np.random.default_rng(seed)
+    # interior values plus bins pinned at both ends of [0, 1]
+    return np.choose(rng.integers(0, 3, (32, 32)),
+                     [rng.uniform(0.0, 1.0, (32, 32)), 0.0, 1.0])
+
+
+@settings(max_examples=50, deadline=None)
+@given(kind=st.sampled_from(["tikhonov", "soft_threshold_image",
+                             "soft_threshold_haar"]),
+       v=st.floats(0.0, 1.0) | st.integers(0, 2**32 - 1).map(_random_v_map),
+       alpha=st.floats(0.05, 20.0), beta=st.floats(0.05, 20.0),
+       lam=st.floats(0.0, 0.1))
+def test_objective_non_increasing_for_every_blend(kind, v, alpha, beta, lam):
+    _, sens, y, mask = _blend_case()
+    cfg = SolverConfig(prior=make_prior(kind), alpha=alpha, beta=beta, lam=lam,
+                       iterations=8, dc_blend_v=v)
+    _, state = solve(y, sens, mask, cfg)
+    hist = np.asarray(state.objective_history)
+    assert np.all(np.diff(hist) <= 1e-9 * max(1.0, hist[0]))
 
 
 def test_objective_history_entry_zero_is_the_starting_point():
@@ -314,6 +355,10 @@ def test_config_validation():
         SolverConfig(prior=prior, dc_blend_v=-0.1)
     with pytest.raises(ConfigError):
         SolverConfig(prior=prior, dc_blend_v=np.ones((2, 2, 2)))
+    for bad in (np.nan, np.inf, np.full((32, 32), np.nan),
+                np.where(np.eye(4) > 0, np.inf, 0.5)):
+        with pytest.raises(ConfigError, match=r"must lie in \[0, 1\]"):
+            SolverConfig(prior=prior, dc_blend_v=bad)
     # lam may be zero, alpha and beta may not
     SolverConfig(prior=prior, lam=0.0)
 
