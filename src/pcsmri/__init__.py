@@ -28,7 +28,7 @@ from .masks import (
     make_random_mask,
     save_mask,
 )
-from .metrics import artifact_residual, evaluate, nmse, psnr, rmse, ssim
+from .metrics import evaluate, nmse, psnr, rmse, ssim
 from .operators import SensitivitySet, adjoint, forward, rss_combine, zero_filled
 from .phantoms import make_coil_profiles, make_phantom, simulate_case
 from .priors import (
@@ -77,7 +77,6 @@ __all__ = [
     "acs_band",
     "adjoint",
     "apply_mask",
-    "artifact_residual",
     "dc_update",
     "estimate_maps",
     "evaluate",

@@ -1,4 +1,4 @@
-"""Image quality metrics and the residual map for error-map figures.
+"""Image quality metrics for reconstructions against a ground truth.
 
 All scalar metrics compare magnitude images: complex inputs are reduced
 with abs() first. PSNR and SSIM are asymmetric (the second argument is
@@ -115,15 +115,6 @@ def ssim(rec, gt, support=None):
     if not centers.any():
         raise ConfigError("support leaves no valid SSIM windows")
     return float(ssim_map[centers].mean())
-
-
-def artifact_residual(x_init, x_gt):
-    """Complex residual x_init - x_gt, the error map of an initial estimate."""
-    x_init = np.asarray(x_init)
-    x_gt = np.asarray(x_gt)
-    if x_init.shape != x_gt.shape:
-        raise ShapeError(f"shape mismatch: {x_init.shape} vs {x_gt.shape}")
-    return x_init - x_gt
 
 
 def evaluate(rec, gt, support=None):

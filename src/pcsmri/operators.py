@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .masks import apply_mask
+from .priors import _check_weight
 from .transforms import fft2c, ifft2c
 
 SUPPORT_THRESHOLD = 1e-3  # fraction of peak RSS intensity
@@ -86,8 +87,9 @@ class SensitivitySet:
         return cls(maps, support)
 
 
-def _check_geometry(sens, mask=None, image=None, coils=None, name="k-space"):
-    """Raise ShapeError unless mask, image and coil stack match the maps."""
+def _check_geometry(sens, mask=None, image=None, coils=None, name="k-space",
+                    blend=None):
+    """Raise ShapeError unless mask, image, coils and a v_map match the maps."""
     if mask is not None and (mask.height, mask.width) != sens.shape:
         raise ShapeError(
             f"mask ({mask.height}, {mask.width}) does not match maps {sens.shape}"
@@ -95,6 +97,10 @@ def _check_geometry(sens, mask=None, image=None, coils=None, name="k-space"):
     if image is not None and np.shape(image) != sens.shape:
         raise ShapeError(
             f"image shape {np.shape(image)} does not match maps {sens.shape}"
+        )
+    if np.ndim(blend) and np.shape(blend) != sens.shape:
+        raise ShapeError(
+            f"v_map shape {np.shape(blend)} does not match maps {sens.shape}"
         )
     if coils is not None and np.shape(coils) != sens.maps.shape:
         raise ShapeError(
@@ -110,8 +116,7 @@ def forward(x, sens, mask, noise_sigma=0.0, seed=None):
     positions. Deterministic for a given seed.
     """
     _check_geometry(sens, mask, image=x)
-    if noise_sigma < 0:
-        raise ConfigError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    noise_sigma = _check_weight(noise_sigma, "noise_sigma", allow_zero=True)
     y = apply_mask(fft2c(sens.maps * x), mask)
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)

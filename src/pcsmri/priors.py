@@ -4,8 +4,9 @@ Each prior answers two questions: the filtering update
 argmin_z (beta/2)||z - x||^2 + lam*R(z), and the penalty value R(z)
 itself, exposed as ``value(z)`` for objective tracking. The update has
 one entry point on the base class: ``prox_info(x, beta, lam)`` checks
-beta > 0 and lam >= 0 once and calls the kind's ``_prox(x, beta, lam)``
-hook, which returns ``(z, converged)``; ``prox`` returns z alone.
+once that beta > 0 and lam >= 0 are finite and calls the kind's
+``_prox(x, beta, lam)`` hook, which returns ``(z, converged)``; ``prox``
+returns z alone.
 Analytic kinds solve the prox in closed form and always converge; total
 variation runs an inner dual iteration and reports whether it met its
 tolerance; the external kind shells out to a user-supplied denoiser
@@ -43,6 +44,18 @@ def _check_count(value, name):
     raise ConfigError(f"{name} must be an integer >= 1, got {value}")
 
 
+def _check_weight(value, name, allow_zero=False):
+    """Return value as a finite float > 0 (>= 0 with allow_zero)."""
+    try:
+        weight = float(value)
+    except (TypeError, ValueError, OverflowError):
+        weight = np.nan
+    if np.isfinite(weight) and (weight > 0 or allow_zero and weight == 0):
+        return weight
+    bound = ">= 0" if allow_zero else "> 0"
+    raise ConfigError(f"{name} must be {bound} and finite, got {value}")
+
+
 class Prior:
     """Interface shared by all prior kinds; subclasses implement _prox."""
 
@@ -54,11 +67,8 @@ class Prior:
 
     def prox_info(self, x, beta, lam):
         """Like prox, also reporting inner-solver convergence."""
-        if beta <= 0:
-            raise ConfigError(f"beta must be > 0, got {beta}")
-        if lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {lam}")
-        return self._prox(x, beta, lam)
+        return self._prox(x, _check_weight(beta, "beta"),
+                          _check_weight(lam, "lambda", allow_zero=True))
 
     def _prox(self, x, beta, lam):
         """(z, converged) for beta > 0 and lam >= 0, already checked."""
@@ -181,8 +191,7 @@ def tv_denoise(x, theta, iterations=50, tol=1e-6):
     step with a convergence guarantee). Stops early when the relative
     dual change drops below tol. Returns (z, converged, n_iter).
     """
-    if theta < 0:
-        raise ConfigError(f"tv weight must be >= 0, got {theta}")
+    theta = _check_weight(theta, "tv weight", allow_zero=True)
     x = np.asarray(x, dtype=np.complex128)
     if theta == 0:
         return x.copy(), True, 0
@@ -212,10 +221,8 @@ class TotalVariationPrior(Prior):
     kind = "total_variation"
 
     def __init__(self, iterations=50, tol=1e-6):
-        if not tol > 0:
-            raise ConfigError(f"tv tol must be > 0, got {tol}")
+        self.tol = _check_weight(tol, "tv tol")
         self.iterations = _check_count(iterations, "tv iterations")
-        self.tol = float(tol)
 
     def _prox(self, x, beta, lam):
         z, converged, _ = tv_denoise(
@@ -241,7 +248,8 @@ class ExternalPrior(Prior):
     PriorExecutionError. R(z) is unknown for an external denoiser, so
     value() returns None and objectives skip the penalty term. Without
     an exchange_dir, each call exchanges through a fresh temporary
-    directory that is removed on return.
+    directory that is removed on return. Concurrent solves must not
+    share a fixed exchange_dir, or they clobber each other's files.
     """
 
     kind = "external"
@@ -252,11 +260,9 @@ class ExternalPrior(Prior):
         command = [str(c) for c in command]
         if not command:
             raise ConfigError("external prior needs a non-empty command")
-        if timeout <= 0:
-            raise ConfigError(f"timeout must be > 0, got {timeout}")
         self.command = command
         self.exchange_dir = None if exchange_dir is None else Path(exchange_dir)
-        self.timeout = float(timeout)
+        self.timeout = _check_weight(timeout, "timeout")
 
     def _prox(self, x, beta, lam):
         x = np.asarray(x)

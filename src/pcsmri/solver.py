@@ -9,12 +9,13 @@ The penalized objective being minimized is
 and one iteration alternates three exact block updates, each reading
 the previous x: the filtering step z = prox_{lam/beta R}(x), the
 per-coil data-consistency step on sampled k-space bins, and the
-closed-form auxiliary update for x. The data weight
-w = v*alpha/(alpha + 1 - v) of the blend v (a scalar or a per-bin map)
-makes the blended DC step the exact per-bin minimizer; w = 1 for exact
-consistency (v = 1). Every block is therefore minimized exactly (TV up
-to its inner tolerance), so F is non-increasing across iterations for
-every v as long as alpha, beta and lam stay constant.
+closed-form auxiliary update for x. The DC step moves every sampled
+bin to the exact weighted minimizer (w*y + alpha*k)/(w + alpha), with
+k = F S_l x and the data weight w = v*alpha/(alpha + 1 - v) of the blend
+v (a scalar or a per-pixel map); v = 1 gives w = 1, exact consistency.
+Every block is therefore minimized exactly (TV up to its inner
+tolerance), so F is non-increasing across iterations for every v as
+long as alpha, beta and lam stay constant.
 
 m_l lives in image domain throughout; its k-space form only appears
 transiently inside the data-consistency update.
@@ -26,25 +27,18 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, ProtocolError
 from .operators import _check_geometry, zero_filled
-from .priors import Prior, _check_count
+from .priors import Prior, _check_count, _check_weight
 from .transforms import fft2c, ifft2c, l2_norm
 
 
 def _as_schedule(value, name, t_total, allow_zero):
-    """Normalize a scalar or length-T sequence to a tuple of floats."""
-    if np.isscalar(value):
-        seq = [float(value)] * t_total
-    else:
-        seq = [float(v) for v in value]
-        if len(seq) != t_total:
-            raise ConfigError(
-                f"{name} schedule has {len(seq)} entries, expected {t_total}"
-            )
-    for v in seq:
-        if not np.isfinite(v) or v < 0 or (v == 0 and not allow_zero):
-            bound = ">= 0" if allow_zero else "> 0"
-            raise ConfigError(f"{name} must be {bound} and finite, got {v}")
-    return tuple(seq)
+    """Normalize a scalar or length-T sequence to a tuple of checked floats."""
+    seq = list(value) if np.ndim(value) else [value] * t_total
+    if len(seq) != t_total:
+        raise ConfigError(
+            f"{name} schedule has {len(seq)} entries, expected {t_total}"
+        )
+    return tuple(_check_weight(v, name, allow_zero) for v in seq)
 
 
 def _check_blend(v):
@@ -107,24 +101,30 @@ class SolverState:
     x_history: list = field(default_factory=list)
 
 
+def _data_weight(sens, mask, alpha, v):
+    """Checked alpha, and w = v*alpha/(alpha + 1 - v) in float64 on sampled columns."""
+    alpha = _check_weight(alpha, "alpha")
+    v = _check_blend(v)
+    _check_geometry(sens, mask, blend=v)
+    v = np.broadcast_to(v, sens.shape)[:, mask.line_selected]
+    return alpha, v * alpha / (alpha + (1.0 - v))
+
+
 def dc_update(x_prev, y, sens, mask, alpha, v=1.0):
     """Per-coil data-consistency step, solved bin by bin in k-space.
 
-    Sampled bins move to (y + alpha*k)/(1 + alpha), the exact minimizer
-    of the coil subproblem; unsampled bins keep k = fft2c(S_l * x_prev).
-    The soft weight v blends the consistent value with the untouched one
-    on sampled bins (v=1 is exact consistency); the blend is the exact
-    minimizer for the data weight w that ``objective`` applies for the
-    same v. Returns per-coil images.
+    With k = fft2c(S_l * x_prev), each sampled bin moves to
+    (w*y + alpha*k)/(w + alpha), the exact minimizer of the coil
+    subproblem under the data weight w = v*alpha/(alpha + 1 - v) that
+    ``objective`` applies for the same blend v (w = 1 at v = 1, exact
+    consistency); unsampled bins keep k. Returns per-coil images.
     """
-    if alpha <= 0:
-        raise ConfigError(f"alpha must be > 0, got {alpha}")
-    v = _check_blend(v)
-    _check_geometry(sens, mask, image=x_prev, coils=y)
+    alpha, w = _data_weight(sens, mask, alpha, v)
+    _check_geometry(sens, image=x_prev, coils=y)
+    s = mask.line_selected
     k = fft2c(sens.maps * x_prev)
-    k_dc = (y + alpha * k) / (1.0 + alpha)
-    blended = v * k_dc + (1.0 - v) * k
-    return ifft2c(np.where(mask.line_selected, blended, k))
+    k[..., s] = (w * y[..., s] + alpha * k[..., s]) / (w + alpha)
+    return ifft2c(k)
 
 
 def x_update(z, m, sens, alpha, beta):
@@ -133,8 +133,7 @@ def x_update(z, m, sens, alpha, beta):
     With normalized maps the denominator is beta + alpha on support and
     beta off support (where x reduces to z).
     """
-    if alpha <= 0 or beta <= 0:
-        raise ConfigError(f"alpha and beta must be > 0, got {alpha}, {beta}")
+    alpha, beta = _check_weight(alpha, "alpha"), _check_weight(beta, "beta")
     _check_geometry(sens, image=z, coils=m, name="coil images")
     num = beta * np.asarray(z) + alpha * np.sum(np.conj(sens.maps) * m, axis=0)
     return num / (beta + alpha * sens.energy)
@@ -148,11 +147,10 @@ def objective(state, y, sens, mask, alpha, beta, lam, prior, v=1.0):
     prior R is unknown; the value is reported without the lam*R term
     (state.objective_includes_prior records this).
     """
-    _check_geometry(sens, mask, coils=y)
-    v = _check_blend(v)
-    w = np.where(mask.line_selected, v * alpha / (alpha + (1.0 - v)), 0.0)
-    residual = fft2c(state.m) - y
-    residual *= np.sqrt(w)
+    alpha, w = _data_weight(sens, mask, alpha, v)
+    beta, lam = _check_weight(beta, "beta"), _check_weight(lam, "lambda", True)
+    _check_geometry(sens, coils=y)
+    residual = (fft2c(state.m) - y)[..., mask.line_selected] * np.sqrt(w)
     total = (0.5 * l2_norm(residual) ** 2
              + 0.5 * alpha * l2_norm(state.m - sens.maps * state.x) ** 2
              + 0.5 * beta * l2_norm(state.z - state.x) ** 2)
@@ -176,7 +174,7 @@ def solve(y, sens, mask, config):
     evaluated with alpha, beta, lam of round max(t, 1) and the blend v,
     and inner-solver warnings.
     """
-    _check_geometry(sens, mask, coils=y)
+    _check_geometry(sens, mask, coils=y, blend=config.dc_blend_v)
     if mask.n_selected == 0:
         raise ProtocolError("mask selects no lines; nothing was measured")
     prior = config.prior

@@ -369,6 +369,9 @@ def test_config_and_usage_errors_exit_2(tmp_path, capsys):
     save_image(tmp_path / "nanmap", nan_map, kind="image")
     assert "dc_blend_v must lie in [0, 1]" in expect_2(
         f"v_map = {tmp_path / 'nanmap'}\n")
+    save_image(tmp_path / "smallmap", np.full((16, 16), 0.5), kind="image")
+    assert "v_map shape (16, 16) does not match maps (32, 32)" in expect_2(
+        f"v_map = {tmp_path / 'smallmap'}\n")
     assert not (case / "recon").exists()
 
     rc = main(["eval", "--recon", str(case / "recon")])

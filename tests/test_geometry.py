@@ -1,9 +1,9 @@
 """Property tests for the shared geometry check of the operators and HQS blocks.
 
-Every entry point validates its arrays against the coil maps through one
-helper; these tests resize exactly one axis of one argument and require
-a ShapeError from each caller, then check forward/adjoint adjointness on
-random odd and even grids.
+Every entry point validates its arrays (and a per-pixel DC blend map)
+against the coil maps through one helper; these tests resize exactly one
+axis of one argument and require a ShapeError from each caller, then
+check forward/adjoint adjointness on random odd and even grids.
 """
 
 import numpy as np
@@ -44,7 +44,7 @@ def _case(n_coils, h, w, seed):
     mask = _mask(h, w, rng)
     x = random_complex(rng, (h, w))
     return {"sens": sens, "mask": mask, "x": x, "y": forward(x, sens, mask),
-            "m": sens.maps * x, "rng": rng}
+            "m": sens.maps * x, "v": rng.uniform(0.0, 1.0, (h, w)), "rng": rng}
 
 
 def _state(c):
@@ -56,15 +56,15 @@ CALLS = {
     "forward": (lambda c: forward(c["x"], c["sens"], c["mask"]), ("x", "mask")),
     "adjoint": (lambda c: adjoint(c["y"], c["sens"], c["mask"]), ("y", "mask")),
     "zero_filled": (lambda c: zero_filled(c["y"], c["sens"]), ("y",)),
-    "dc_update": (lambda c: dc_update(c["x"], c["y"], c["sens"], c["mask"], 1.0),
-                  ("x", "y", "mask")),
+    "dc_update": (lambda c: dc_update(c["x"], c["y"], c["sens"], c["mask"], 1.0,
+                                      c["v"]), ("x", "y", "mask", "v")),
     "x_update": (lambda c: x_update(c["x"], c["m"], c["sens"], 1.0, 1.0),
                  ("x", "m")),
     "objective": (lambda c: objective(_state(c), c["y"], c["sens"], c["mask"],
-                                      1.0, 1.0, 0.1, PRIOR), ("y", "mask")),
-    "solve": (lambda c: solve(c["y"], c["sens"], c["mask"],
-                              SolverConfig(prior=PRIOR, iterations=1)),
-              ("y", "mask")),
+                                      1.0, 1.0, 0.1, PRIOR, c["v"]),
+                  ("y", "mask", "v")),
+    "solve": (lambda c: solve(c["y"], c["sens"], c["mask"], SolverConfig(
+        prior=PRIOR, iterations=1, dc_blend_v=c["v"])), ("y", "mask", "v")),
 }
 
 
@@ -84,7 +84,7 @@ def mismatches(draw):
     if field == "mask":
         axis = None
     else:
-        axis = draw(st.sampled_from((0, 1) if field == "x" else (0, 1, 2)))
+        axis = draw(st.sampled_from((0, 1) if field in ("x", "v") else (0, 1, 2)))
     shape = (draw(st.integers(1, 3)), draw(st.integers(2, 9)),
              draw(st.integers(2, 9)))
     return name, field, axis, shape, draw(st.booleans()), draw(st.integers(0, 999))

@@ -10,7 +10,6 @@ from oracles import nmse_scalar, psnr_scalar, rmse_scalar, ssim_scalar
 from pcsmri import (
     ConfigError,
     ShapeError,
-    artifact_residual,
     evaluate,
     nmse,
     psnr,
@@ -117,15 +116,6 @@ def test_ssim_shape_and_support_validation():
     edge_only[0, 0] = True  # no valid window is centered at the corner
     with pytest.raises(ConfigError):
         ssim(rec, gt, support=edge_only)
-
-
-def test_artifact_residual_is_the_complex_difference():
-    rng = np.random.default_rng(32)
-    a = random_complex(rng, (8, 8))
-    b = random_complex(rng, (8, 8))
-    np.testing.assert_array_equal(artifact_residual(a, b), a - b)
-    with pytest.raises(ShapeError):
-        artifact_residual(a, b[:4])
 
 
 def test_evaluate_bundles_all_metrics():

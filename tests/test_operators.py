@@ -85,8 +85,9 @@ def test_forward_noise_is_seeded_and_sized():
 
     noiseless = forward(x, sens, mask)
     np.testing.assert_array_equal(noiseless, np.zeros_like(y1))
-    with pytest.raises(ConfigError):
-        forward(x, sens, mask, noise_sigma=-0.1)
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            forward(x, sens, mask, noise_sigma=bad)
 
 
 def test_zero_filled_is_the_unmasked_adjoint():

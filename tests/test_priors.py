@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest
 from conftest import make_stub, random_complex
@@ -103,6 +105,37 @@ def test_prox_rejects_bad_parameters():
             prior.prox(x, -1.0, 0.1)
         with pytest.raises(ConfigError):
             prior.prox(x, 1.0, -0.1)
+
+
+def _assert_shrinkage_optimality(x, z, t, tol=1e-9):
+    """0 in (z - x) + t*d|z| per complex entry: |x| <= t where z = 0, and
+    x - z = t*z/|z| elsewhere, i.e. z points along x with |x| = |z| + t
+    (the form that stays exact to round-off for tiny nonzero z)."""
+    zero = np.abs(z) <= tol
+    assert np.all(np.abs(x[zero]) <= t + tol)
+    x, z = x[~zero], z[~zero]
+    np.testing.assert_allclose(np.abs(x), np.abs(z) + t, rtol=1e-12, atol=tol)
+    along = np.conj(x) * z / np.abs(x)  # z's components along and across x
+    np.testing.assert_allclose(along.imag, 0.0, atol=tol)
+    assert np.all(along.real > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.floats(0.1, 10.0),
+       st.floats(0.05, 20.0), st.floats(0.0, 2.0), st.integers(0, 999))
+def test_closed_form_prox_optimality_conditions(hh, wh, scale, beta, lam, seed):
+    x = scale * random_complex(np.random.default_rng(seed), (2 * hh, 2 * wh))
+    t = lam / beta
+    z = TikhonovPrior().prox(x, beta, lam)
+    stationarity = beta * (z - x) + 2.0 * lam * z
+    assert np.abs(stationarity).max() <= 1e-13 * (beta + 2.0 * lam) * (
+        1.0 + np.abs(x).max())
+    _assert_shrinkage_optimality(x, SoftThresholdPrior().prox(x, beta, lam), t)
+    x_bands = haar2_forward(x)
+    z_bands = haar2_forward(HaarPrior().prox(x, beta, lam))
+    np.testing.assert_allclose(z_bands[0], x_bands[0], rtol=0, atol=1e-12 * scale)
+    for xb, zb in zip(x_bands[1:], z_bands[1:]):
+        _assert_shrinkage_optimality(xb, zb, t)
 
 
 def test_haar_round_trip_and_orthonormality():

@@ -33,7 +33,8 @@ from pcsmri import (
     solve,
     zero_filled,
 )
-from pcsmri.solver import dc_update, objective, x_update
+from pcsmri.priors import tv_denoise
+from pcsmri.solver import SolverState, dc_update, objective, x_update
 
 
 def _instance(seed, h=8, w=8, n_coils=3, r=2.0, acs=2):
@@ -119,8 +120,28 @@ def test_x_update_reduces_to_z_off_support():
 
 def test_block_update_validation():
     _, sens, mask, x, y = _instance(31)
-    with pytest.raises(ConfigError):
-        dc_update(x, y, sens, mask, alpha=0.0)
+    m = sens.maps * x
+    state = SolverState(x=x, z=x, m=m, t=0)
+    prior = TikhonovPrior()
+    # every block and the objective check each weight it takes the same way
+    weight_calls = {
+        "alpha": (lambda a: dc_update(x, y, sens, mask, alpha=a),
+                  lambda a: x_update(x, m, sens, alpha=a, beta=1.0),
+                  lambda a: objective(state, y, sens, mask, a, 1.0, 0.1, prior)),
+        "beta": (lambda b: x_update(x, m, sens, alpha=1.0, beta=b),
+                 lambda b: objective(state, y, sens, mask, 1.0, b, 0.1, prior),
+                 lambda b: prior.prox_info(x, b, 0.1)),
+        "lambda": (lambda lam: objective(state, y, sens, mask, 1.0, 1.0, lam, prior),
+                   lambda lam: prior.prox_info(x, 1.0, lam),
+                   lambda lam: tv_denoise(x, lam)),
+    }
+    for name, calls in weight_calls.items():
+        bad = (np.nan, np.inf, -np.inf, -1.0, None, "x")
+        for call in calls:
+            for value in bad + ((0.0,) if name != "lambda" else ()):
+                with pytest.raises(ConfigError, match="and finite"):
+                    call(value)
+            call(1.0)
     with pytest.raises(ConfigError):
         dc_update(x, y, sens, mask, alpha=1.0, v=1.5)
     with pytest.raises(ShapeError):
@@ -135,8 +156,6 @@ def test_objective_matches_scalar_recomputation():
     rng, sens, mask, x, y = _instance(32)
     z = random_complex(rng, (8, 8))
     m = random_complex(rng, (3, 8, 8))
-    from pcsmri.solver import SolverState
-
     state = SolverState(x=x, z=z, m=m, t=1)
     for kind in ("tikhonov", "soft_threshold_image", "soft_threshold_haar",
                  "total_variation"):
@@ -160,8 +179,6 @@ def test_objective_skips_unknown_external_penalty(tmp_path):
     rng, sens, mask, x, y = _instance(33)
     z = random_complex(rng, (8, 8))
     m = random_complex(rng, (3, 8, 8))
-    from pcsmri.solver import SolverState
-
     state = SolverState(x=x, z=z, m=m, t=1)
     ext = ExternalPrior("true")
     got = objective(state, y, sens, mask, 0.7, 0.3, 0.05, ext)
