@@ -362,6 +362,8 @@ def cmd_sweep(args):
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     fields = _read_kv_file(args.grid)
+    if args.jobs > 1 and "external_dir" in fields:
+        raise ConfigError("--jobs > 1 would share the grid's external_dir")
     y, sens, mask, case = _load_case(args.case, args.estimate_sens)
     try:
         gt, _ = load_image(case / "gt")

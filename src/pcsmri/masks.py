@@ -73,11 +73,11 @@ class SamplingMask:
 
 
 def _check_budget(width, r, acs_width):
-    if r < 1:
-        raise ConfigError(f"acceleration must be >= 1, got {r}")
+    if not (math.isfinite(r) and r >= 1):
+        raise ConfigError(f"acceleration must be >= 1 and finite, got {r}")
     budget = int(round(width / r))
-    if budget > width:
-        raise ConfigError(f"budget {budget} exceeds width {width}")
+    if budget < 1:
+        raise ConfigError(f"line budget round({width}/{r}) = 0 selects no line")
     if acs_width < 0:
         raise ConfigError("acs_width must be >= 0")
     if budget < acs_width:
@@ -116,10 +116,10 @@ def make_equispaced_mask(height, width, r, acs_width, seed):
     sampling ratio can exceed 1/r by up to acs_width / width after the
     ACS overlay.
     """
+    _check_budget(width, r, acs_width)
     r_int = int(round(r))
-    if abs(r - r_int) > 1e-12 or r_int < 1:
+    if abs(r - r_int) > 1e-12:
         raise ConfigError(f"equispaced masks need an integer acceleration, got {r}")
-    _check_budget(width, r_int, acs_width)
     rng = np.random.default_rng(seed)
     offset = int(rng.integers(0, r_int))
     n_stride = math.ceil(width / r_int)

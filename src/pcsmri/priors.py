@@ -3,14 +3,15 @@
 Each prior answers two questions: the filtering update
 argmin_z (beta/2)||z - x||^2 + lam*R(z), and the penalty value R(z)
 itself, exposed as ``value(z)`` for objective tracking. The update has
-one entry point on the base class: ``prox_info(x, beta, lam)`` checks
-once that beta > 0 and lam >= 0 are finite and calls the kind's
-``_prox(x, beta, lam)`` hook, which returns ``(z, converged)``; ``prox``
-returns z alone.
+one entry point on the base class: ``prox_info(x, beta, lam, dual)``
+checks once that beta > 0 and lam >= 0 are finite and calls the kind's
+``_prox(x, beta, lam, dual)`` hook, which returns ``(z, converged)``;
+``prox`` returns z alone.
 Analytic kinds solve the prox in closed form and always converge; total
-variation runs an inner dual iteration and reports whether it met its
-tolerance; the external kind shells out to a user-supplied denoiser
-through a file-exchange protocol and reports no value.
+variation runs an inner dual iteration, warm-started from ``dual``, and
+reports whether it met its duality-gap tolerance; the external kind
+shells out to a user-supplied denoiser through a file-exchange protocol
+and reports no value.
 """
 
 import contextlib
@@ -65,14 +66,22 @@ class Prior:
         """argmin_z (beta/2)||z - x||^2 + lam*R(z)."""
         return self.prox_info(x, beta, lam)[0]
 
-    def prox_info(self, x, beta, lam):
-        """Like prox, also reporting inner-solver convergence."""
-        return self._prox(x, _check_weight(beta, "beta"),
-                          _check_weight(lam, "lambda", allow_zero=True))
+    def prox_info(self, x, beta, lam, dual=None):
+        """Like prox, also reporting inner-solver convergence.
 
-    def _prox(self, x, beta, lam):
+        ``dual`` is a caller-owned buffer that TV starts from and updates
+        in place (see tv_denoise); the other kinds ignore it.
+        """
+        return self._prox(x, _check_weight(beta, "beta"),
+                          _check_weight(lam, "lambda", allow_zero=True), dual)
+
+    def _prox(self, x, beta, lam, dual):
         """(z, converged) for beta > 0 and lam >= 0, already checked."""
         raise NotImplementedError
+
+    def new_dual(self, shape):
+        """A zeroed ``dual`` buffer for images of this shape, or None."""
+        return None
 
     def value(self, z):
         """R(z), or None for kinds whose penalty is not evaluable."""
@@ -84,7 +93,7 @@ class TikhonovPrior(Prior):
 
     kind = "tikhonov"
 
-    def _prox(self, x, beta, lam):
+    def _prox(self, x, beta, lam, dual):
         return (beta / (beta + 2.0 * lam)) * np.asarray(x), True
 
     def value(self, z):
@@ -99,7 +108,7 @@ class SoftThresholdPrior(Prior):
 
     kind = "soft_threshold_image"
 
-    def _prox(self, x, beta, lam):
+    def _prox(self, x, beta, lam, dual):
         return _soft_threshold(np.asarray(x), lam / beta), True
 
     def value(self, z):
@@ -148,7 +157,7 @@ class HaarPrior(Prior):
 
     kind = "soft_threshold_haar"
 
-    def _prox(self, x, beta, lam):
+    def _prox(self, x, beta, lam, dual):
         ll, lh, hl, hh = haar2_forward(x)
         t = lam / beta
         return haar2_inverse(
@@ -184,49 +193,63 @@ def tv_value(z):
     return float(np.sum(np.sqrt(np.abs(g[0]) ** 2 + np.abs(g[1]) ** 2)))
 
 
-def tv_denoise(x, theta, iterations=50, tol=1e-6):
+def tv_denoise(x, theta, iterations=50, tol=1e-3, dual=None):
     """Solve argmin_z (1/2)||z - x||^2 + theta*TV(z) by dual iteration.
 
-    Semi-implicit fixed point on the dual field p (step 1/8, the largest
-    step with a convergence guarantee). Stops early when the relative
-    dual change drops below tol. Returns (z, converged, n_iter).
+    Semi-implicit fixed point on the dual field p (Chambolle 2004, step
+    1/8). It stops once the ROF duality gap at z = x - theta*div p is at
+    most tol*P: P - D, with P = (1/2)||z - x||^2 + theta*TV(z) and
+    D = (1/2)||x||^2 - (1/2)||z||^2. ``dual``, an optional caller-owned
+    (2, H, W) complex128 buffer with |p| <= 1, is the starting p (else
+    zero) and is updated in place, so the next call, even with another
+    theta, can start from it. Returns (z, converged, n_dual_steps).
     """
     theta = _check_weight(theta, "tv weight", allow_zero=True)
     x = np.asarray(x, dtype=np.complex128)
     if theta == 0:
         return x.copy(), True, 0
+    if dual is None:
+        dual = np.zeros((2,) + x.shape, dtype=np.complex128)
+    elif dual.shape != (2,) + x.shape or dual.dtype != np.complex128:
+        raise ShapeError(f"tv dual must be complex128 of shape {(2,) + x.shape}")
     tau = 0.125
-    p = np.zeros((2,) + x.shape, dtype=np.complex128)
-    converged = False
-    it = 0
-    for it in range(1, iterations + 1):
-        g = _grad2(_div2(p) - x / theta)
-        denom = 1.0 + tau * np.sqrt(np.abs(g[0]) ** 2 + np.abs(g[1]) ** 2)
-        p_new = (p + tau * g) / denom
-        step = np.linalg.norm(p_new - p)
-        p = p_new
-        if step <= tol * max(np.linalg.norm(p), 1e-30):
-            converged = True
-            break
-    return x - theta * _div2(p), converged, it
+    x_scaled = x / theta
+    for it in range(iterations + 1):
+        d = _div2(dual)
+        # g = grad(d - x/theta) = -grad(z)/theta, so theta*TV(z) = theta^2*sum|g|
+        g = _grad2(d - x_scaled)
+        mag = np.sqrt(np.abs(g[0]) ** 2 + np.abs(g[1]) ** 2)
+        tv = mag.sum()
+        # (P - D)/theta^2 = sum|g| - Re<g, p> against P/theta^2
+        if tv - np.vdot(g, dual).real <= tol * (0.5 * np.vdot(d, d).real + tv):
+            return x - theta * d, True, it
+        if it == iterations:
+            return x - theta * d, False, it
+        dual += tau * g
+        dual /= 1.0 + tau * mag
 
 
 class TotalVariationPrior(Prior):
     """Isotropic TV on complex images with an inner Chambolle-style loop.
 
-    The prox is approximate: accuracy is governed by ``iterations`` and
-    ``tol``, and prox_info reports whether the inner loop met tol.
+    The prox is approximate: the inner loop takes at most ``iterations``
+    dual steps and stops once the relative ROF duality gap is at most
+    ``tol``; prox_info reports whether it did. The warm-start dual is
+    the caller's (see tv_denoise), so one instance serves concurrent solves.
     """
 
     kind = "total_variation"
 
-    def __init__(self, iterations=50, tol=1e-6):
+    def __init__(self, iterations=50, tol=1e-3):
         self.tol = _check_weight(tol, "tv tol")
         self.iterations = _check_count(iterations, "tv iterations")
 
-    def _prox(self, x, beta, lam):
+    def new_dual(self, shape):
+        return np.zeros((2, *shape), dtype=np.complex128)
+
+    def _prox(self, x, beta, lam, dual):
         z, converged, _ = tv_denoise(
-            x, lam / beta, iterations=self.iterations, tol=self.tol
+            x, lam / beta, iterations=self.iterations, tol=self.tol, dual=dual
         )
         return z, converged
 
@@ -264,7 +287,7 @@ class ExternalPrior(Prior):
         self.exchange_dir = None if exchange_dir is None else Path(exchange_dir)
         self.timeout = _check_weight(timeout, "timeout")
 
-    def _prox(self, x, beta, lam):
+    def _prox(self, x, beta, lam, dual):
         x = np.asarray(x)
         if self.exchange_dir is None:
             exchange = tempfile.TemporaryDirectory(prefix="pcsmri-prior-")

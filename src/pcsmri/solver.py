@@ -13,8 +13,8 @@ closed-form auxiliary update for x. The DC step moves every sampled
 bin to the exact weighted minimizer (w*y + alpha*k)/(w + alpha), with
 k = F S_l x and the data weight w = v*alpha/(alpha + 1 - v) of the blend
 v (a scalar or a per-pixel map); v = 1 gives w = 1, exact consistency.
-Every block is therefore minimized exactly (TV up to its inner
-tolerance), so F is non-increasing across iterations for every v as
+Every block is therefore minimized exactly (TV up to its duality gap),
+so F is non-increasing across iterations for every v as
 long as alpha, beta and lam stay constant.
 
 m_l lives in image domain throughout; its k-space form only appears
@@ -172,7 +172,8 @@ def solve(y, sens, mask, config):
     and alternates the three block updates for config.iterations rounds.
     Returns (x, state); the state carries the objective at t = 0..T,
     evaluated with alpha, beta, lam of round max(t, 1) and the blend v,
-    and inner-solver warnings.
+    and inner-solver warnings. The prior's ``dual`` buffer belongs to
+    this solve, so TV warm-starts from the previous round's dual.
     """
     _check_geometry(sens, mask, coils=y, blend=config.dc_blend_v)
     if mask.n_selected == 0:
@@ -182,10 +183,11 @@ def solve(y, sens, mask, config):
     _check_finite(x, "initial estimate", 0)
     state = SolverState(x=x, z=x.copy(), m=sens.maps * x, t=0,
                         objective_includes_prior=prior.value(x) is not None)
+    dual = prior.new_dual(x.shape)
     for t in range(config.iterations + 1):
         alpha, beta, lam = config.params_at(max(t, 1))
         if t:
-            z, converged = prior.prox_info(state.x, beta, lam)
+            z, converged = prior.prox_info(state.x, beta, lam, dual)
             if not converged:
                 state.warnings.append(
                     f"prior inner solver did not reach tolerance at iteration {t}"

@@ -385,6 +385,20 @@ def test_config_and_usage_errors_exit_2(tmp_path, capsys):
     assert main(["simulate", "--width", "0", "--out", str(tmp_path / "sim")]) == 2
     assert main(["mask", "--width", "32", "--height", "0", "--r", "2",
                  "--acs", "8", "--out", str(tmp_path / "m")]) == 2
+    # a non-finite acceleration, or one that leaves no sampled line
+    for r in ("nan", "inf"):
+        for kind in ("random", "equispaced"):
+            assert main(["mask", "--width", "32", "--r", r, "--acs", "0",
+                         "--kind", kind, "--out", str(tmp_path / "m")]) == 2
+            assert main(["simulate", "--size", "32", "--r", r, "--acs", "0",
+                         "--mask-kind", kind, "--out", str(tmp_path / "sim")]) == 2
+    assert main(["simulate", "--size", "32", "--r", "100", "--acs", "0",
+                 "--out", str(tmp_path / "sim")]) == 2
+    err = capsys.readouterr().err
+    assert "acceleration must be >= 1 and finite" in err
+    assert "round(32/100.0) = 0 selects no line" in err
+    assert not (tmp_path / "m").exists()
+    assert not (tmp_path / "sim" / "kspace").exists()
     grid = write_config(tmp_path / "grid", GRID_2X2)
     for jobs in ("0", "-4"):
         assert main(["sweep", "--case", str(case), "--grid", str(grid),
@@ -621,6 +635,24 @@ def test_sweep_parallel_jobs_match_serial(tmp_path, capsys):
                    "--jobs", 2) == 0
     capsys.readouterr()
     assert report_1.read_text() == report_2.read_text()
+
+
+def test_sweep_grid_external_dir_needs_one_job(tmp_path, capsys):
+    case = small_case_dir(tmp_path)
+    cmd = make_stub(tmp_path, "identity_stub", IDENTITY_STUB)
+    grid = write_config(tmp_path / "grid", {
+        "prior": "external", "external_cmd": cmd, "iterations": "2",
+        "lambda": "0.0,0.01,0.02,0.03", "external_dir": tmp_path / "xch"})
+    # concurrent combos would read and delete each other's prior_out
+    assert run_cli("sweep", "--case", case, "--grid", grid, "--jobs", 2) == 2
+    assert "external_dir" in capsys.readouterr().err
+    assert not (case / "sweep").exists() and not (tmp_path / "xch").exists()
+    report = tmp_path / "report.csv"
+    assert run_cli("sweep", "--case", case, "--grid", grid,
+                   "--report", report) == 0
+    capsys.readouterr()
+    rows = [l for l in report.read_text().splitlines() if not l.startswith("#")]
+    assert len(rows) == 5 and "nan" not in report.read_text()
 
 
 def test_sweep_bad_combo_yields_nan_row_and_comment(tmp_path, capsys):

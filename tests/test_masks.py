@@ -62,6 +62,11 @@ def test_random_mask_budget_validation():
         make_random_mask(32, 64, 0.5, 4, seed=0)
     with pytest.raises(ConfigError):
         make_random_mask(32, 64, 4.0, -1, seed=0)
+    # a non-finite acceleration, or a budget of no line at all
+    for make in (make_random_mask, make_equispaced_mask):
+        for r in (np.nan, np.inf, 200.0):
+            with pytest.raises(ConfigError):
+                make(32, 64, r, 0, seed=0)
 
 
 def test_equispaced_mask_strides_from_a_seeded_offset():

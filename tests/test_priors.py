@@ -222,6 +222,47 @@ def test_tv_denoise_reports_convergence():
     assert n_long < 5000
 
 
+def _dual_magnitude(p):
+    return np.sqrt(np.abs(p[0]) ** 2 + np.abs(p[1]) ** 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9), st.integers(2, 9), st.floats(0.01, 2.0),
+       st.floats(1e-6, 1e-2), st.integers(0, 999))
+def test_tv_denoise_gap_certificate(h, w, theta, tol, seed):
+    rng = np.random.default_rng(seed)
+    x = random_complex(rng, (h, w))
+    # a feasible warm start, |p| <= 1, with some pixels on the boundary
+    dual = random_complex(rng, (2, h, w))
+    radius = np.where(rng.random((h, w)) < 0.3, 1.0, rng.random((h, w)))
+    dual *= radius / _dual_magnitude(dual)
+    start = dual.copy()
+    z, converged, n_iter = tv_denoise(x, theta, iterations=2000, tol=tol,
+                                      dual=dual)
+    assert _dual_magnitude(dual).max() <= 1 + 1e-12
+    assert n_iter == 0 or not np.array_equal(dual, start)
+    if not converged:
+        return
+    # independent of the loop's own gap: P and D evaluated from z alone
+    primal = 0.5 * np.sum(np.abs(z - x) ** 2) + theta * tv_value(z)
+    dual_value = 0.5 * np.sum(np.abs(x) ** 2) - 0.5 * np.sum(np.abs(z) ** 2)
+    slack = 1e-12 * (primal + np.sum(np.abs(x) ** 2))
+    assert primal - dual_value <= tol * primal + slack
+    # the buffer holds the certified dual: restarting from it takes no step
+    z_again, converged_again, n_again = tv_denoise(x, theta, iterations=2000,
+                                                   tol=tol, dual=dual)
+    assert converged_again is True and n_again == 0
+    np.testing.assert_array_equal(z_again, z)
+
+
+def test_tv_denoise_rejects_a_wrong_dual_buffer():
+    x = np.ones((4, 6), dtype=complex)
+    for bad in (np.zeros((2, 6, 4), complex), np.zeros((2, 4, 6), np.complex64),
+                np.zeros((4, 6), complex)):
+        with pytest.raises(ShapeError, match="tv dual"):
+            tv_denoise(x, 0.1, dual=bad)
+
+
 def test_tv_prior_wires_theta_and_convergence_through():
     rng = np.random.default_rng(10)
     x = random_complex(rng, (16, 16))

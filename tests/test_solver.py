@@ -1,5 +1,6 @@
 """Block updates against dense oracles, objective bookkeeping, limits."""
 
+from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 
 import numpy as np
@@ -214,6 +215,28 @@ def test_objective_history_non_increasing_tv_within_inner_tolerance():
     hist = np.asarray(state.objective_history)
     # the filtering step is exact only up to the inner dual tolerance
     assert np.all(np.diff(hist) <= 1e-6 * max(1.0, hist[0]))
+
+
+def test_one_tv_prior_serves_solves_without_state():
+    cases = [simulate_case(32, 32, n_coils=2, r=2.0, acs_width=8,
+                           noise_sigma=0.02, seed=seed) for seed in (21, 22)]
+
+    def run(prior, case):
+        _, sens, y, mask = case
+        x, state = solve(y, sens, mask, SolverConfig(prior=prior, lam=0.02,
+                                                     iterations=6))
+        return x, state.objective_history
+
+    fresh = [run(TotalVariationPrior(), case) for case in cases]
+    # the warm-start dual belongs to each solve, never to the shared prior
+    shared = TotalVariationPrior()
+    back_to_back = [run(shared, case) for case in cases]
+    with ThreadPoolExecutor(2) as pool:
+        concurrent = list(pool.map(lambda case: run(shared, case), cases))
+    for got in (back_to_back, concurrent):
+        for (x, history), (x_fresh, history_fresh) in zip(got, fresh):
+            np.testing.assert_array_equal(x, x_fresh)
+            assert history == history_fresh
 
 
 @cache
