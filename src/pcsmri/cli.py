@@ -28,6 +28,7 @@ import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +49,7 @@ from .masks import MASK_KINDS, PRESETS, load_mask, mask_summary, save_mask
 from .metrics import PSNR_TEXT_CAP, evaluate, psnr
 from .operators import SensitivitySet, zero_filled
 from .phantoms import PHANTOM_KINDS, make_phantom, simulate_case
-from .priors import make_prior
+from .priors import _check_weight, make_prior
 from .sensitivity import estimate_maps
 from .solver import SolverConfig, solve
 
@@ -113,34 +114,31 @@ def _parse_bool(value, key):
     raise ConfigError(f"{key} must be a boolean, got {value!r}")
 
 
-def _build_solver_config(fields, default_exchange_dir=None):
+def _build_solver_config(fields):
     unknown = sorted(set(fields) - set(_CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     kind = fields.get("prior", "tikhonov")
-    params = {}
-    if kind == "total_variation":
-        if "tv_iterations" in fields:
-            params["iterations"] = _parse_floats(fields["tv_iterations"],
-                                                 "tv_iterations")
-        if "tv_tol" in fields:
-            params["tol"] = _parse_number(fields["tv_tol"], "tv_tol")
+    # every present key is parsed and checked, also those this prior ignores
+    tv = make_prior("total_variation", **{
+        param: parse(fields[key], key) for key, param, parse in (
+            ("tv_iterations", "iterations", _parse_floats),
+            ("tv_tol", "tol", _parse_number)) if key in fields})
+    external = {"exchange_dir": fields.get("external_dir")}
+    if "external_timeout" in fields:
+        external["timeout"] = _check_weight(
+            _parse_number(fields["external_timeout"], "external_timeout"),
+            "external_timeout")
+    if "external_cmd" in fields:
+        external = make_prior("external", command=fields["external_cmd"], **external)
     elif kind == "external":
-        if "external_cmd" not in fields:
-            raise ConfigError("external prior requires external_cmd")
-        params["command"] = fields["external_cmd"]
-        exchange = fields.get("external_dir", default_exchange_dir)
-        if exchange is not None:
-            params["exchange_dir"] = exchange
-        if "external_timeout" in fields:
-            params["timeout"] = _parse_number(fields["external_timeout"],
-                                              "external_timeout")
-    prior = make_prior(kind, **params)
+        raise ConfigError("external prior requires external_cmd")
+    prior = {"total_variation": tv, "external": external}.get(kind) or make_prior(kind)
     if "v" in fields and "v_map" in fields:
         raise ConfigError("v and v_map are exclusive; give one of them")
     v = _parse_number(fields["v"], "v") if "v" in fields else 1.0
     if "v_map" in fields:
-        v = load_image(fields["v_map"])[0].real
+        v = load_image(fields["v_map"])[0]
     lam = fields.get("lambda")
     lam = DEFAULT_LAMBDA[kind] if lam is None else _parse_floats(lam, "lambda")
     return SolverConfig(
@@ -203,14 +201,18 @@ def cmd_sense(args):
 
 
 def cmd_simulate(args):
+    given = (args.mask_kind, args.r, args.acs)
+    if args.preset and given != (None, None, None):
+        raise ConfigError("--preset sets the mask; drop --mask-kind, --r and --acs")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     height = args.size if args.height is None else args.height
     width = args.size if args.width is None else args.width
+    defaults = astuple(PRESETS[args.preset]) if args.preset else ("random", 4.0, 24)
+    kind, r, acs = (d if g is None else g for g, d in zip(given, defaults))
     x_gt, sens, y, mask = simulate_case(
-        height, width, n_coils=args.coils, phantom=args.phantom,
-        mask_kind=args.mask_kind, r=args.r, acs_width=args.acs,
-        preset=args.preset, noise_sigma=args.sigma, seed=args.seed,
+        height, width, n_coils=args.coils, phantom=args.phantom, mask_kind=kind,
+        r=r, acs_width=acs, noise_sigma=args.sigma, seed=args.seed,
         phase_ramp=args.phase_ramp,
     )
     save_image(out / "gt", x_gt, kind="gt")
@@ -221,7 +223,7 @@ def cmd_simulate(args):
         out / "manifest.txt", "simulate",
         [("height", height), ("width", width), ("coils", args.coils),
          ("phantom", args.phantom), ("preset", args.preset or "none"),
-         ("mask_kind", args.mask_kind), ("r", args.r), ("acs_width", args.acs),
+         ("mask_kind", kind), ("r", r), ("acs_width", acs),
          ("noise_sigma", args.sigma), ("phase_ramp", args.phase_ramp),
          ("seed", args.seed)],
     )
@@ -277,12 +279,10 @@ def _run_recon(y, sens, mask, config, out_path, gt=None):
 
 def cmd_recon(args):
     fields = _read_kv_file(args.config) if args.config else {}
-    case = Path(args.case)
-    config = _build_solver_config(fields,
-                                  default_exchange_dir=case / "exchange")
+    config = _build_solver_config(fields)
     if args.dump_iterates:
         config.record_history = True
-    y, sens, mask, case = _load_case(case, args.estimate_sens)
+    y, sens, mask, case = _load_case(args.case, args.estimate_sens)
     out = Path(args.out) if args.out else case / "recon"
     gt = None
     if (case / "gt").exists():
@@ -352,8 +352,7 @@ def _expand_grid(fields):
 def _sweep_one(index, combo, y, sens, mask, gt, out_root):
     combo_dir = out_root / f"combo_{index:03d}"
     combo_dir.mkdir(parents=True, exist_ok=True)
-    config = _build_solver_config(combo,
-                                  default_exchange_dir=combo_dir / "exchange")
+    config = _build_solver_config(combo)
     x, _ = _run_recon(y, sens, mask, config, combo_dir / "recon", gt=gt)
     return evaluate(x, gt, support=sens.support)
 
@@ -362,8 +361,6 @@ def cmd_sweep(args):
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     fields = _read_kv_file(args.grid)
-    if args.jobs > 1 and "external_dir" in fields:
-        raise ConfigError("--jobs > 1 would share the grid's external_dir")
     y, sens, mask, case = _load_case(args.case, args.estimate_sens)
     try:
         gt, _ = load_image(case / "gt")
@@ -441,9 +438,10 @@ def build_parser():
     p.add_argument("--coils", type=int, default=4)
     p.add_argument("--phantom", default="shepp_logan", choices=PHANTOM_KINDS)
     p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--mask-kind", default="random", choices=tuple(MASK_KINDS))
-    p.add_argument("--r", type=float, default=4.0)
-    p.add_argument("--acs", type=int, default=24)
+    # no argparse defaults: cmd_simulate must see which of these were given
+    p.add_argument("--mask-kind", choices=tuple(MASK_KINDS))
+    p.add_argument("--r", type=float)
+    p.add_argument("--acs", type=int)
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--phase-ramp", action="store_true")

@@ -5,16 +5,14 @@ argmin_z (beta/2)||z - x||^2 + lam*R(z), and the penalty value R(z)
 itself, exposed as ``value(z)`` for objective tracking. The update has
 one entry point on the base class: ``prox_info(x, beta, lam, dual)``
 checks once that beta > 0 and lam >= 0 are finite and calls the kind's
-``_prox(x, beta, lam, dual)`` hook, which returns ``(z, converged)``;
-``prox`` returns z alone.
+``_prox(x, beta, lam, dual)`` hook; both return ``(z, converged)``.
 Analytic kinds solve the prox in closed form and always converge; total
 variation runs an inner dual iteration, warm-started from ``dual``, and
 reports whether it met its duality-gap tolerance; the external kind
-shells out to a user-supplied denoiser through a file-exchange protocol
-and reports no value.
+shells out to a user-supplied denoiser through files in a private
+per-call directory and reports no value.
 """
 
-import contextlib
 import shlex
 import subprocess
 import tempfile
@@ -22,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import _sidecar, load_image, save_image
+from .container import load_image, save_image
 from .errors import ConfigError, PriorExecutionError, ShapeError
 
 _SQRT2 = np.sqrt(2.0)
@@ -62,12 +60,8 @@ class Prior:
 
     kind = "base"
 
-    def prox(self, x, beta, lam):
-        """argmin_z (beta/2)||z - x||^2 + lam*R(z)."""
-        return self.prox_info(x, beta, lam)[0]
-
     def prox_info(self, x, beta, lam, dual=None):
-        """Like prox, also reporting inner-solver convergence.
+        """argmin_z (beta/2)||z - x||^2 + lam*R(z) and inner-solver convergence.
 
         ``dual`` is a caller-owned buffer that TV starts from and updates
         in place (see tv_denoise); the other kinds ignore it.
@@ -260,8 +254,8 @@ class TotalVariationPrior(Prior):
 class ExternalPrior(Prior):
     """Plug-in denoiser invoked as a subprocess through files.
 
-    Protocol: the current image is written to <exchange_dir>/prior_in
-    (with its prior_in.hdr sidecar, dtype <c16), then
+    Protocol: each call makes a private directory D, writes the current
+    image to D/prior_in (with its prior_in.hdr sidecar, dtype <c16), then
 
         <command...> <input path> <output path> <beta> <lam>
 
@@ -269,17 +263,20 @@ class ExternalPrior(Prior):
     the output path, which must hold an image of the same shape. Any
     nonzero exit, timeout, or unreadable output raises
     PriorExecutionError. R(z) is unknown for an external denoiser, so
-    value() returns None and objectives skip the penalty term. Without
-    an exchange_dir, each call exchanges through a fresh temporary
-    directory that is removed on return. Concurrent solves must not
-    share a fixed exchange_dir, or they clobber each other's files.
+    value() returns None and objectives skip the penalty term. D is
+    removed on return; it is made inside exchange_dir (created if
+    missing), else in the system temp dir, so concurrent calls never
+    see each other's files.
     """
 
     kind = "external"
 
     def __init__(self, command, exchange_dir=None, timeout=60.0):
         if isinstance(command, str):
-            command = shlex.split(command)
+            try:
+                command = shlex.split(command)
+            except ValueError as exc:
+                raise ConfigError(f"cannot split external command: {exc}") from None
         command = [str(c) for c in command]
         if not command:
             raise ConfigError("external prior needs a non-empty command")
@@ -289,17 +286,12 @@ class ExternalPrior(Prior):
 
     def _prox(self, x, beta, lam, dual):
         x = np.asarray(x)
-        if self.exchange_dir is None:
-            exchange = tempfile.TemporaryDirectory(prefix="pcsmri-prior-")
-        else:
-            exchange = contextlib.nullcontext(self.exchange_dir)
-        with exchange as exchange_dir:
-            exchange_dir = Path(exchange_dir)
-            exchange_dir.mkdir(parents=True, exist_ok=True)
-            in_path = exchange_dir / "prior_in"
-            out_path = exchange_dir / "prior_out"
-            for stale in (out_path, _sidecar(out_path)):
-                stale.unlink(missing_ok=True)
+        if self.exchange_dir is not None:
+            self.exchange_dir.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix="pcsmri-prior-",
+                                         dir=self.exchange_dir) as exchange:
+            in_path = Path(exchange) / "prior_in"
+            out_path = Path(exchange) / "prior_out"
             save_image(in_path, x, kind="image", dtype="<c16")
             argv = self.command + [str(in_path), str(out_path), repr(float(beta)),
                                    repr(float(lam))]
@@ -325,11 +317,11 @@ class ExternalPrior(Prior):
                 raise PriorExecutionError(
                     f"external prior produced unreadable output: {exc}"
                 ) from None
-            if z.shape != x.shape:
-                raise PriorExecutionError(
-                    f"external prior returned shape {z.shape}, expected {x.shape}"
-                )
-            return z, True
+        if z.shape != x.shape:
+            raise PriorExecutionError(
+                f"external prior returned shape {z.shape}, expected {x.shape}"
+            )
+        return z, True
 
     def value(self, z):
         return None

@@ -42,8 +42,13 @@ def _as_schedule(value, name, t_total, allow_zero):
 
 
 def _check_blend(v):
-    """A scalar v in [0, 1] as float, or a read-only (H, W) map of them."""
-    arr = np.array(v, dtype=float)
+    """A real scalar v in [0, 1] as float, or a read-only (H, W) map of them."""
+    arr = np.asarray(v)
+    if arr.dtype.kind not in "biufc":
+        raise ConfigError(f"dc_blend_v must be numeric, got {arr.dtype} input")
+    if arr.dtype.kind == "c" and np.any(arr.imag):
+        raise ConfigError(f"dc_blend_v must be real, got {arr[arr.imag != 0][0]}")
+    arr = np.array(arr.real, dtype=float)
     if arr.ndim not in (0, 2):
         raise ConfigError("dc_blend_v must be a scalar or a 2D per-pixel map")
     bad = arr[~((arr >= 0.0) & (arr <= 1.0))]

@@ -187,6 +187,17 @@ def test_simulate_manifest_has_params_but_no_paths(tmp_path):
     assert str(tmp_path) not in text
 
 
+def test_simulate_preset_manifest_records_the_preset_mask(tmp_path):
+    case = simulate_cli(tmp_path / "knee", preset="knee", size="160",
+                        coils="2", seed="4")
+    text = (case / "manifest.txt").read_text()
+    for needle in ("preset: knee", "mask_kind: random", "r: 6.0",
+                   "acs_width: 24"):
+        assert needle in text
+    mask = load_mask(case / "mask")
+    assert (mask.kind, mask.acceleration, mask.acs_width) == ("random", 6.0, 24)
+
+
 def test_recon_matches_library_solve(tmp_path, capsys):
     case = small_case_dir(tmp_path)
     config = write_config(tmp_path / "cfg", {
@@ -306,6 +317,24 @@ def test_recon_v_map_file_equals_scalar_v(tmp_path):
     assert np.array_equal(rec_a, rec_b)
 
 
+def test_unused_prior_keys_with_valid_values_change_nothing(tmp_path):
+    case = small_case_dir(tmp_path)
+    plain = {"prior": "soft_threshold_haar", "lambda": "0.01", "iterations": "3"}
+    extra = dict(plain, tv_iterations="7", tv_tol="1e-4",
+                 external_cmd="denoise --flag", external_timeout="5")
+    runs = []
+    for name, fields in (("plain", plain), ("extra", extra)):
+        out = tmp_path / name / "recon"
+        out.parent.mkdir()
+        assert run_cli("recon", "--case", case, "--config",
+                       write_config(tmp_path / f"{name}.cfg", fields),
+                       "--out", out) == 0
+        runs.append(out)
+    for name in ("recon", "objective.log"):
+        assert file_digest(runs[0].parent / name) == file_digest(
+            runs[1].parent / name), name
+
+
 def test_simulate_and_recon_reruns_are_byte_identical(tmp_path):
     case_a = small_case_dir(tmp_path, name="case_a", seed="5")
     case_b = small_case_dir(tmp_path, name="case_b", seed="5")
@@ -360,6 +389,15 @@ def test_config_and_usage_errors_exit_2(tmp_path, capsys):
         "prior = external\nexternal_cmd = denoise\nexternal_timeout = x\n")
     assert "external prior requires external_cmd" in expect_2(
         "prior = external\n")
+    # keys the chosen prior ignores are still parsed and checked
+    assert "tv_tol must be a single number" in expect_2(
+        "prior = tikhonov\ntv_tol = abc\n")
+    assert "external_timeout must be a single number" in expect_2(
+        "prior = tikhonov\nexternal_timeout = zz\n")
+    assert "external_timeout must be > 0" in expect_2("external_timeout = 0\n")
+    assert "tv iterations" in expect_2("prior = tikhonov\ntv_iterations = 0\n")
+    assert "cannot split external command" in expect_2(
+        "prior = tikhonov\nexternal_cmd = 'unclosed\n")
     v_map = tmp_path / "vmap"
     save_image(v_map, np.full((32, 32), 0.2), kind="image")
     assert "v and v_map are exclusive" in expect_2(
@@ -369,6 +407,9 @@ def test_config_and_usage_errors_exit_2(tmp_path, capsys):
     save_image(tmp_path / "nanmap", nan_map, kind="image")
     assert "dc_blend_v must lie in [0, 1]" in expect_2(
         f"v_map = {tmp_path / 'nanmap'}\n")
+    # a blend with an imaginary part is rejected, not cut to its real part
+    save_image(tmp_path / "cmap", np.full((32, 32), 0.5 + 3j), kind="image")
+    assert "dc_blend_v must be real" in expect_2(f"v_map = {tmp_path / 'cmap'}\n")
     save_image(tmp_path / "smallmap", np.full((16, 16), 0.5), kind="image")
     assert "v_map shape (16, 16) does not match maps (32, 32)" in expect_2(
         f"v_map = {tmp_path / 'smallmap'}\n")
@@ -397,6 +438,12 @@ def test_config_and_usage_errors_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "acceleration must be >= 1 and finite" in err
     assert "round(32/100.0) = 0 selects no line" in err
+    # a preset fixes the mask, so the mask flags cannot ride along
+    for flag, value in (("--mask-kind", "equispaced"), ("--r", "8"), ("--acs", "10")):
+        assert main(["simulate", "--size", "256", "--preset", "knee", flag, value,
+                     "--out", str(tmp_path / "preset")]) == 2
+        assert "--preset sets the mask" in capsys.readouterr().err
+    assert not (tmp_path / "preset").exists()
     assert not (tmp_path / "m").exists()
     assert not (tmp_path / "sim" / "kspace").exists()
     grid = write_config(tmp_path / "grid", GRID_2X2)
@@ -502,11 +549,23 @@ def test_external_identity_cli_matches_tikhonov_lambda_zero(tmp_path):
     rec_tik, _ = load_image(out_tik)
     assert np.allclose(rec_ext, rec_tik, rtol=0, atol=1e-10)
 
+    assert list((tmp_path / "exchange").iterdir()) == []
+
     comments_ext, _, _ = read_objective_log(out_ext.parent / "objective.log")
     comments_tik, _, _ = read_objective_log(out_tik.parent / "objective.log")
     note = "# prior term unavailable; objective excludes lambda*R(z)"
     assert note in comments_ext
     assert note not in comments_tik
+
+
+def test_external_recon_leaves_no_exchange_in_case_dir(tmp_path):
+    case = small_case_dir(tmp_path)
+    cmd = make_stub(tmp_path, "identity_stub", IDENTITY_STUB)
+    config = write_config(tmp_path / "cfg", {
+        "prior": "external", "external_cmd": cmd, "iterations": "2"})
+    assert run_cli("recon", "--case", case, "--config", config) == 0
+    assert (case / "recon").exists()
+    assert not (case / "exchange").exists()
 
 
 def _recon_for_eval(tmp_path, name, seed):
@@ -637,22 +696,22 @@ def test_sweep_parallel_jobs_match_serial(tmp_path, capsys):
     assert report_1.read_text() == report_2.read_text()
 
 
-def test_sweep_grid_external_dir_needs_one_job(tmp_path, capsys):
+def test_sweep_grid_external_dir_runs_in_parallel(tmp_path, capsys):
     case = small_case_dir(tmp_path)
     cmd = make_stub(tmp_path, "identity_stub", IDENTITY_STUB)
+    exchange = tmp_path / "xch"
     grid = write_config(tmp_path / "grid", {
         "prior": "external", "external_cmd": cmd, "iterations": "2",
-        "lambda": "0.0,0.01,0.02,0.03", "external_dir": tmp_path / "xch"})
-    # concurrent combos would read and delete each other's prior_out
-    assert run_cli("sweep", "--case", case, "--grid", grid, "--jobs", 2) == 2
-    assert "external_dir" in capsys.readouterr().err
-    assert not (case / "sweep").exists() and not (tmp_path / "xch").exists()
+        "lambda": "0.0,0.01,0.02,0.03", "external_dir": exchange})
+    # every prox call exchanges through its own directory inside external_dir
     report = tmp_path / "report.csv"
-    assert run_cli("sweep", "--case", case, "--grid", grid,
+    assert run_cli("sweep", "--case", case, "--grid", grid, "--jobs", 2,
                    "--report", report) == 0
     capsys.readouterr()
-    rows = [l for l in report.read_text().splitlines() if not l.startswith("#")]
-    assert len(rows) == 5 and "nan" not in report.read_text()
+    rows = [l for l in report.read_text().splitlines()[1:] if not l.startswith("#")]
+    assert len(rows) == 4 and "nan" not in report.read_text()
+    assert list(exchange.iterdir()) == []
+    assert not list((case / "sweep").glob("*/exchange"))
 
 
 def test_sweep_bad_combo_yields_nan_row_and_comment(tmp_path, capsys):

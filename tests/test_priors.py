@@ -2,6 +2,7 @@
 solver against a long-run oracle, and the external denoiser protocol."""
 
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ def _prox_objective(prior, z, x, beta, lam):
 def _assert_prox_is_a_minimizer(prior, x, beta, lam, trials=25, scale=1e-3):
     # no random perturbation of the prox output may lower its objective
     rng = np.random.default_rng(42)
-    z = prior.prox(x, beta, lam)
+    z = prior.prox_info(x, beta, lam)[0]
     base = _prox_objective(prior, z, x, beta, lam)
     for _ in range(trials):
         probe = z + scale * random_complex(rng, z.shape)
@@ -70,7 +71,7 @@ def test_tikhonov_prox_closed_form_and_optimality():
     x = random_complex(rng, (8, 8))
     prior = TikhonovPrior()
     beta, lam = 0.7, 0.2
-    z = prior.prox(x, beta, lam)
+    z = prior.prox_info(x, beta, lam)[0]
     np.testing.assert_allclose(z, (beta / (beta + 2 * lam)) * x, atol=1e-14)
     # stationarity of 0.5*beta||z - x||^2 + lam ||z||^2
     grad = beta * (z - x) + 2 * lam * z
@@ -88,9 +89,10 @@ def test_image_soft_threshold_prior():
     prior = SoftThresholdPrior()
     beta, lam = 2.0, 0.5
     np.testing.assert_allclose(
-        prior.prox(x, beta, lam), _soft_threshold(x, lam / beta), atol=1e-14
+        prior.prox_info(x, beta, lam)[0], _soft_threshold(x, lam / beta),
+        atol=1e-14
     )
-    np.testing.assert_array_equal(prior.prox(x, beta, 0.0), x)
+    np.testing.assert_array_equal(prior.prox_info(x, beta, 0.0)[0], x)
     assert prior.value(x) == pytest.approx(float(np.sum(np.abs(x))))
     _assert_prox_is_a_minimizer(prior, x, beta, lam)
 
@@ -100,11 +102,11 @@ def test_prox_rejects_bad_parameters():
     for prior in (TikhonovPrior(), SoftThresholdPrior(), HaarPrior(),
                   TotalVariationPrior()):
         with pytest.raises(ConfigError):
-            prior.prox(x, 0.0, 0.1)
+            prior.prox_info(x, 0.0, 0.1)
         with pytest.raises(ConfigError):
-            prior.prox(x, -1.0, 0.1)
+            prior.prox_info(x, -1.0, 0.1)
         with pytest.raises(ConfigError):
-            prior.prox(x, 1.0, -0.1)
+            prior.prox_info(x, 1.0, -0.1)
 
 
 def _assert_shrinkage_optimality(x, z, t, tol=1e-9):
@@ -126,13 +128,14 @@ def _assert_shrinkage_optimality(x, z, t, tol=1e-9):
 def test_closed_form_prox_optimality_conditions(hh, wh, scale, beta, lam, seed):
     x = scale * random_complex(np.random.default_rng(seed), (2 * hh, 2 * wh))
     t = lam / beta
-    z = TikhonovPrior().prox(x, beta, lam)
+    z = TikhonovPrior().prox_info(x, beta, lam)[0]
     stationarity = beta * (z - x) + 2.0 * lam * z
     assert np.abs(stationarity).max() <= 1e-13 * (beta + 2.0 * lam) * (
         1.0 + np.abs(x).max())
-    _assert_shrinkage_optimality(x, SoftThresholdPrior().prox(x, beta, lam), t)
+    _assert_shrinkage_optimality(
+        x, SoftThresholdPrior().prox_info(x, beta, lam)[0], t)
     x_bands = haar2_forward(x)
-    z_bands = haar2_forward(HaarPrior().prox(x, beta, lam))
+    z_bands = haar2_forward(HaarPrior().prox_info(x, beta, lam)[0])
     np.testing.assert_allclose(z_bands[0], x_bands[0], rtol=0, atol=1e-12 * scale)
     for xb, zb in zip(x_bands[1:], z_bands[1:]):
         _assert_shrinkage_optimality(xb, zb, t)
@@ -168,7 +171,7 @@ def test_haar_prior_thresholds_details_only():
     x = random_complex(rng, (8, 8))
     prior = HaarPrior()
     beta, lam = 1.5, 0.3
-    z = prior.prox(x, beta, lam)
+    z = prior.prox_info(x, beta, lam)[0]
     ll_in, lh_in, hl_in, hh_in = haar2_forward(x)
     ll_out, lh_out, hl_out, hh_out = haar2_forward(z)
     np.testing.assert_allclose(ll_out, ll_in, atol=1e-12)
@@ -268,7 +271,7 @@ def test_tv_prior_wires_theta_and_convergence_through():
     x = random_complex(rng, (16, 16))
     prior = TotalVariationPrior(iterations=300, tol=1e-10)
     beta, lam = 2.0, 0.5
-    z = prior.prox(x, beta, lam)
+    z = prior.prox_info(x, beta, lam)[0]
     want, _, _ = tv_denoise(x, lam / beta, iterations=300, tol=1e-10)
     np.testing.assert_array_equal(z, want)
     assert prior.value(x) == pytest.approx(tv_value(x))
@@ -291,7 +294,7 @@ def test_external_prior_identity_stub(tmp_path):
     prior = ExternalPrior(cmd, exchange_dir=tmp_path / "xch")
     rng = np.random.default_rng(12)
     x = random_complex(rng, (8, 8))
-    z = prior.prox(x, beta=1.0, lam=0.0)
+    z = prior.prox_info(x, beta=1.0, lam=0.0)[0]
     np.testing.assert_array_equal(z, x)  # c16 exchange is bit-exact
     assert prior.value(x) is None
     z2, converged = prior.prox_info(x, beta=1.0, lam=0.0)
@@ -304,7 +307,8 @@ def test_external_prior_transforms_data(tmp_path):
     prior = ExternalPrior(cmd, exchange_dir=tmp_path / "xch")
     rng = np.random.default_rng(13)
     x = random_complex(rng, (4, 6))
-    np.testing.assert_allclose(prior.prox(x, 1.0, 0.5), 0.5 * x, atol=1e-15)
+    np.testing.assert_allclose(prior.prox_info(x, 1.0, 0.5)[0], 0.5 * x,
+                               atol=1e-15)
 
 
 def test_external_prior_argv_protocol(tmp_path):
@@ -312,21 +316,26 @@ def test_external_prior_argv_protocol(tmp_path):
     exchange = tmp_path / "xch"
     prior = ExternalPrior(cmd, exchange_dir=exchange)
     x = np.ones((4, 4), dtype=complex)
-    prior.prox(x, beta=0.25, lam=0.125)
+    prior.prox_info(x, beta=0.25, lam=0.125)
     argv = (tmp_path / "argv.py.argv").read_text().splitlines()
+    private = Path(argv[0]).parent
+    assert private.parent == exchange
+    assert private.name.startswith("pcsmri-prior-")
     assert argv == [
-        str(exchange / "prior_in"),
-        str(exchange / "prior_out"),
+        str(private / "prior_in"),
+        str(private / "prior_out"),
         repr(0.25),
         repr(0.125),
     ]
+    # the per-call directory is gone once the call returns
+    assert not private.exists() and list(exchange.iterdir()) == []
 
 
 def test_external_prior_failure_reports_exit_code_and_stderr(tmp_path):
     cmd = make_stub(tmp_path, "fail.py", conftest.FAIL_STUB)
     prior = ExternalPrior(cmd, exchange_dir=tmp_path / "xch")
     with pytest.raises(PriorExecutionError, match="code 3.*denoiser exploded"):
-        prior.prox(np.ones((4, 4), dtype=complex), 1.0, 0.0)
+        prior.prox_info(np.ones((4, 4), dtype=complex), 1.0, 0.0)
 
 
 def test_external_prior_never_reuses_stale_output(tmp_path):
@@ -334,14 +343,35 @@ def test_external_prior_never_reuses_stale_output(tmp_path):
     ok = ExternalPrior(make_stub(tmp_path, "identity.py", conftest.IDENTITY_STUB),
                        exchange_dir=exchange)
     x = np.ones((4, 4), dtype=complex)
-    ok.prox(x, 1.0, 0.0)
-    assert (exchange / "prior_out").exists()
+    ok.prox_info(x, 1.0, 0.0)
 
     # same exchange dir, but this command writes nothing at all
     noop = ExternalPrior(make_stub(tmp_path, "noop.py", conftest.NOOP_STUB),
                          exchange_dir=exchange)
     with pytest.raises(PriorExecutionError, match="unreadable output"):
-        noop.prox(x, 1.0, 0.0)
+        noop.prox_info(x, 1.0, 0.0)
+
+
+def test_external_priors_sharing_exchange_dir_run_concurrently(tmp_path):
+    # each call sleeps inside its exchange, so concurrent calls overlap
+    sleep = "\n    import time\n    time.sleep(0.05)"
+    exchange = tmp_path / "xch"
+    identity = ExternalPrior(make_stub(tmp_path, "identity.py",
+                                       sleep + conftest.IDENTITY_STUB),
+                             exchange_dir=exchange)
+    halve = ExternalPrior(make_stub(tmp_path, "halve.py",
+                                    sleep + conftest.HALVE_STUB),
+                          exchange_dir=exchange)
+    rng = np.random.default_rng(14)
+    calls = [(prior, random_complex(rng, (6, 8)))
+             for _ in range(4) for prior in (identity, halve)]
+    sequential = [prior.prox_info(x, 1.0, 0.0)[0] for prior, x in calls]
+    with ThreadPoolExecutor(2) as pool:
+        concurrent = list(pool.map(
+            lambda call: call[0].prox_info(call[1], 1.0, 0.0)[0], calls))
+    for want, got in zip(sequential, concurrent):
+        np.testing.assert_array_equal(got, want)
+    assert list(exchange.iterdir()) == []
 
 
 def test_external_prior_rejects_wrong_shape_output(tmp_path):
@@ -357,7 +387,7 @@ def test_external_prior_rejects_wrong_shape_output(tmp_path):
     cmd = make_stub(tmp_path, "crop.py", body)
     prior = ExternalPrior(cmd, exchange_dir=tmp_path / "xch")
     with pytest.raises(PriorExecutionError, match="shape"):
-        prior.prox(np.ones((8, 8), dtype=complex), 1.0, 0.0)
+        prior.prox_info(np.ones((8, 8), dtype=complex), 1.0, 0.0)
 
 
 def test_external_prior_validates_construction(tmp_path):
@@ -378,7 +408,7 @@ def test_external_prior_default_exchange_dir_is_removed(tmp_path, monkeypatch):
     cmd = make_stub(tmp_path, "argv.py", conftest.ARGV_STUB)
     prior = ExternalPrior(cmd)
     x = random_complex(np.random.default_rng(5), (6, 6))
-    np.testing.assert_array_equal(prior.prox(x, 1.0, 0.0), x)
+    np.testing.assert_array_equal(prior.prox_info(x, 1.0, 0.0)[0], x)
     in_path = Path((tmp_path / "argv.py.argv").read_text().splitlines()[0])
     assert in_path.parent.parent == scratch
     assert in_path.parent.name.startswith("pcsmri-prior-")
@@ -389,7 +419,7 @@ def test_external_prior_missing_executable(tmp_path):
     prior = ExternalPrior(str(tmp_path / "no_such_binary"),
                           exchange_dir=tmp_path / "xch")
     with pytest.raises(PriorExecutionError, match="cannot run"):
-        prior.prox(np.ones((4, 4), dtype=complex), 1.0, 0.0)
+        prior.prox_info(np.ones((4, 4), dtype=complex), 1.0, 0.0)
 
 
 def test_make_prior_factory():

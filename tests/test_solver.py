@@ -403,6 +403,18 @@ def test_config_validation():
     SolverConfig(prior=prior, lam=0.0)
 
 
+def test_blend_must_be_real_and_numeric():
+    prior = TikhonovPrior()
+    for bad in (0.5 + 3j, np.full((32, 32), 0.5 + 1e-9j), "abc", "0.5", None):
+        with pytest.raises(ConfigError, match="dc_blend_v must be"):
+            SolverConfig(prior=prior, dc_blend_v=bad)
+    # a zero imaginary part is dropped exactly
+    assert SolverConfig(prior=prior, dc_blend_v=0.5 + 0j).dc_blend_v == 0.5
+    v_map = np.linspace(0.0, 1.0, 32 * 32).reshape(32, 32)
+    cfg = SolverConfig(prior=prior, dc_blend_v=v_map.astype(np.complex64))
+    np.testing.assert_array_equal(cfg.dc_blend_v, v_map.astype(np.float32))
+
+
 def test_schedules_index_one_based():
     cfg = SolverConfig(prior=TikhonovPrior(), alpha=[1.0, 2.0, 3.0],
                        beta=0.5, lam=[0.0, 0.1, 0.2], iterations=3)
