@@ -17,15 +17,15 @@ Every block is therefore minimized exactly (TV up to its duality gap),
 so F is non-increasing across iterations for every v as
 long as alpha, beta and lam stay constant.
 
-m_l lives in image domain throughout; its k-space form only appears
-transiently inside the data-consistency update.
+m_l lives in image domain; the sampled k-space columns that the DC step
+wrote are carried into the objective instead of transforming m again.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, ProtocolError
+from .errors import ConfigError, DivergenceError, ProtocolError, ShapeError
 from .operators import _check_geometry, zero_filled
 from .priors import Prior, _check_count, _check_weight
 from .transforms import fft2c, ifft2c, l2_norm
@@ -43,7 +43,10 @@ def _as_schedule(value, name, t_total, allow_zero):
 
 def _check_blend(v):
     """A real scalar v in [0, 1] as float, or a read-only (H, W) map of them."""
-    arr = np.asarray(v)
+    try:
+        arr = np.asarray(v)
+    except ValueError as exc:  # a ragged nesting
+        raise ConfigError(f"dc_blend_v must be a regular array: {exc}") from None
     if arr.dtype.kind not in "biufc":
         raise ConfigError(f"dc_blend_v must be numeric, got {arr.dtype} input")
     if arr.dtype.kind == "c" and np.any(arr.imag):
@@ -54,10 +57,8 @@ def _check_blend(v):
     bad = arr[~((arr >= 0.0) & (arr <= 1.0))]
     if bad.size:
         raise ConfigError(f"dc_blend_v must lie in [0, 1], got {bad[0]}")
-    if arr.ndim == 0:
-        return float(arr)
     arr.setflags(write=False)
-    return arr
+    return float(arr) if arr.ndim == 0 else arr
 
 
 @dataclass
@@ -106,29 +107,33 @@ class SolverState:
     x_history: list = field(default_factory=list)
 
 
-def _data_weight(sens, mask, alpha, v):
-    """Checked alpha, and w = v*alpha/(alpha + 1 - v) in float64 on sampled columns."""
+def _data_term(sens, mask, y, alpha, v, k_dc=None):
+    """Checked alpha and k_dc; w = v*alpha/(alpha + 1 - v) and y on sampled bins."""
     alpha = _check_weight(alpha, "alpha")
     v = _check_blend(v)
-    _check_geometry(sens, mask, blend=v)
+    _check_geometry(sens, mask, coils=y, blend=v)
     v = np.broadcast_to(v, sens.shape)[:, mask.line_selected]
-    return alpha, v * alpha / (alpha + (1.0 - v))
+    y_s = y[..., mask.line_selected]
+    if k_dc is not None and (k_dc.shape != y_s.shape or k_dc.dtype != np.complex128):
+        raise ShapeError(f"k_dc must be complex128 of shape {y_s.shape}")
+    return alpha, v * alpha / (alpha + (1.0 - v)), y_s
 
 
-def dc_update(x_prev, y, sens, mask, alpha, v=1.0):
+def dc_update(x_prev, y, sens, mask, alpha, v=1.0, k_dc=None):
     """Per-coil data-consistency step, solved bin by bin in k-space.
 
     With k = fft2c(S_l * x_prev), each sampled bin moves to
     (w*y + alpha*k)/(w + alpha), the exact minimizer of the coil
     subproblem under the data weight w = v*alpha/(alpha + 1 - v) that
     ``objective`` applies for the same blend v (w = 1 at v = 1, exact
-    consistency); unsampled bins keep k. Returns per-coil images.
+    consistency); unsampled bins keep k. Returns per-coil images; the new
+    sampled bins are computed into ``k_dc``, a caller-owned buffer, if given.
     """
-    alpha, w = _data_weight(sens, mask, alpha, v)
-    _check_geometry(sens, image=x_prev, coils=y)
+    alpha, w, y_s = _data_term(sens, mask, y, alpha, v, k_dc)
+    _check_geometry(sens, image=x_prev)
     s = mask.line_selected
     k = fft2c(sens.maps * x_prev)
-    k[..., s] = (w * y[..., s] + alpha * k[..., s]) / (w + alpha)
+    k[..., s] = np.divide(w * y_s + alpha * k[..., s], w + alpha, out=k_dc)
     return ifft2c(k)
 
 
@@ -144,18 +149,19 @@ def x_update(z, m, sens, alpha, beta):
     return num / (beta + alpha * sens.energy)
 
 
-def objective(state, y, sens, mask, alpha, beta, lam, prior, v=1.0):
+def objective(state, y, sens, mask, alpha, beta, lam, prior, v=1.0, k_dc=None):
     """Evaluate the full penalized objective at the state's iterates.
 
     Sampled bins of the data term carry the weight w = v*alpha/(alpha +
     1 - v) for the DC blend v (1 for exact consistency). For the external
     prior R is unknown; the value is reported without the lam*R term
-    (state.objective_includes_prior records this).
+    (state.objective_includes_prior records this). The sampled bins of
+    fft2c(state.m) are read from ``k_dc``, as dc_update wrote them, if given.
     """
-    alpha, w = _data_weight(sens, mask, alpha, v)
+    alpha, w, y_s = _data_term(sens, mask, y, alpha, v, k_dc)
     beta, lam = _check_weight(beta, "beta"), _check_weight(lam, "lambda", True)
-    _check_geometry(sens, coils=y)
-    residual = (fft2c(state.m) - y)[..., mask.line_selected] * np.sqrt(w)
+    k = fft2c(state.m)[..., mask.line_selected] if k_dc is None else k_dc
+    residual = (k - y_s) * np.sqrt(w)
     total = (0.5 * l2_norm(residual) ** 2
              + 0.5 * alpha * l2_norm(state.m - sens.maps * state.x) ** 2
              + 0.5 * beta * l2_norm(state.z - state.x) ** 2)
@@ -177,8 +183,8 @@ def solve(y, sens, mask, config):
     and alternates the three block updates for config.iterations rounds.
     Returns (x, state); the state carries the objective at t = 0..T,
     evaluated with alpha, beta, lam of round max(t, 1) and the blend v,
-    and inner-solver warnings. The prior's ``dual`` buffer belongs to
-    this solve, so TV warm-starts from the previous round's dual.
+    and inner-solver warnings. The prior's ``dual`` and the DC ``k_dc``
+    buffers belong to this solve: TV warm-starts from the previous dual.
     """
     _check_geometry(sens, mask, coils=y, blend=config.dc_blend_v)
     if mask.n_selected == 0:
@@ -189,6 +195,7 @@ def solve(y, sens, mask, config):
     state = SolverState(x=x, z=x.copy(), m=sens.maps * x, t=0,
                         objective_includes_prior=prior.value(x) is not None)
     dual = prior.new_dual(x.shape)
+    k_dc = np.empty((*y.shape[:-1], mask.n_selected), dtype=complex)
     for t in range(config.iterations + 1):
         alpha, beta, lam = config.params_at(max(t, 1))
         if t:
@@ -198,13 +205,14 @@ def solve(y, sens, mask, config):
                     f"prior inner solver did not reach tolerance at iteration {t}"
                 )
             _check_finite(z, "filtering step", t)
-            m = dc_update(state.x, y, sens, mask, alpha, config.dc_blend_v)
+            m = dc_update(state.x, y, sens, mask, alpha, config.dc_blend_v, k_dc)
             _check_finite(m, "data-consistency step", t)
             x = x_update(z, m, sens, alpha, beta)
             _check_finite(x, "auxiliary update", t)
             state.x, state.z, state.m, state.t = x, z, m, t
         state.objective_history.append(objective(
-            state, y, sens, mask, alpha, beta, lam, prior, config.dc_blend_v))
+            state, y, sens, mask, alpha, beta, lam, prior, config.dc_blend_v,
+            k_dc if t else None))
         if config.record_history:
             state.x_history.append(state.x.copy())
     return state.x, state

@@ -8,7 +8,8 @@ Conventions used throughout the package:
   (H // 2, W // 2), matching how sampling masks are displayed;
 * the transform pair is unitary (norm="ortho"), so fft2c/ifft2c are
   exact adjoints and inverses of each other and preserve the l2 norm.
-  The closed-form data-consistency update relies on this.
+  The closed-form data-consistency update relies on this. Each transform
+  runs in place on a private shifted copy, so its input is never touched.
 """
 
 import numpy as np
@@ -18,29 +19,26 @@ from .errors import ShapeError
 _AXES = (-2, -1)
 
 
-def _check_grid(x, name="array"):
+def _centered(transform, x, name):
     x = np.asarray(x)
     if x.ndim < 2:
         raise ShapeError(f"{name} must have at least 2 dimensions, got {x.ndim}")
     if x.shape[-1] == 0 or x.shape[-2] == 0:
         raise ShapeError(f"{name} has a zero-sized dimension: {x.shape}")
-    return x
+    buf = np.fft.ifftshift(x, axes=_AXES)
+    buf = buf.astype(np.result_type(buf, np.complex64), copy=False)
+    transform(buf, axes=_AXES, norm="ortho", out=buf)
+    return np.fft.fftshift(buf, axes=_AXES)
 
 
 def fft2c(img):
     """Centered, unitarily normalized 2D DFT over the last two axes."""
-    img = _check_grid(img, "image")
-    shifted = np.fft.ifftshift(img, axes=_AXES)
-    ksp = np.fft.fft2(shifted, axes=_AXES, norm="ortho")
-    return np.fft.fftshift(ksp, axes=_AXES)
+    return _centered(np.fft.fftn, img, "image")
 
 
 def ifft2c(ksp):
     """Inverse of :func:`fft2c` (exact to round-off)."""
-    ksp = _check_grid(ksp, "k-space")
-    shifted = np.fft.ifftshift(ksp, axes=_AXES)
-    img = np.fft.ifft2(shifted, axes=_AXES, norm="ortho")
-    return np.fft.fftshift(img, axes=_AXES)
+    return _centered(np.fft.ifftn, ksp, "k-space")
 
 
 def l2_norm(x):

@@ -27,6 +27,7 @@ from pcsmri import (
     SolverConfig,
     TikhonovPrior,
     TotalVariationPrior,
+    fft2c,
     forward,
     make_prior,
     make_random_mask,
@@ -405,7 +406,8 @@ def test_config_validation():
 
 def test_blend_must_be_real_and_numeric():
     prior = TikhonovPrior()
-    for bad in (0.5 + 3j, np.full((32, 32), 0.5 + 1e-9j), "abc", "0.5", None):
+    for bad in (0.5 + 3j, np.full((32, 32), 0.5 + 1e-9j), "abc", "0.5", None,
+                [[0.5, 0.5], [0.5]]):
         with pytest.raises(ConfigError, match="dc_blend_v must be"):
             SolverConfig(prior=prior, dc_blend_v=bad)
     # a zero imaginary part is dropped exactly
@@ -467,6 +469,66 @@ def test_final_objective_matches_reported_history():
     _, state = solve(y, sens, mask, cfg)
     recomputed = objective(state, y, sens, mask, 0.8, 1.3, 0.01, TikhonovPrior())
     assert recomputed == pytest.approx(state.objective_history[-1], rel=1e-12)
+
+
+def test_solve_transforms_forward_once_per_iteration(monkeypatch):
+    gt, sens, y, mask = simulate_case(32, 32, n_coils=2, r=2.0, acs_width=8,
+                                      noise_sigma=0.02, seed=14)
+    calls = []
+
+    def counted(img):
+        calls.append(np.shape(img))
+        return fft2c(img)
+
+    monkeypatch.setattr("pcsmri.solver.fft2c", counted)
+    for iterations in (1, 4):
+        calls.clear()
+        solve(y, sens, mask, SolverConfig(prior=TikhonovPrior(), lam=0.02,
+                                          iterations=iterations))
+        # one in each DC step, one for the objective at t = 0
+        assert len(calls) == iterations + 1
+
+
+@pytest.mark.parametrize("v", ["one", "half", "map"])
+def test_objective_history_matches_recomputation_without_buffer(v):
+    gt, sens, y, mask = simulate_case(32, 32, n_coils=2, r=3.0, acs_width=6,
+                                      noise_sigma=0.02, seed=15)
+    v = {"one": 1.0, "half": 0.5, "map": _random_v_map(15)}[v]
+    prior = make_prior("soft_threshold_haar")
+
+    def run(iterations):
+        return solve(y, sens, mask, SolverConfig(
+            prior=prior, alpha=0.8, beta=1.2, lam=0.01, iterations=iterations,
+            dc_blend_v=v, record_history=True))
+
+    _, full = run(5)
+    _, early = run(2)
+    # the 2-iteration solve stops at the full solve's third iterate
+    np.testing.assert_array_equal(early.x, full.x_history[2])
+    for state, t in ((full, 5), (early, 2)):
+        # no k_dc: the data term comes from fft2c(state.m)
+        recomputed = objective(state, y, sens, mask, 0.8, 1.2, 0.01, prior, v)
+        assert recomputed == pytest.approx(full.objective_history[t], rel=1e-12)
+
+
+def test_dc_update_fills_the_k_dc_buffer():
+    rng, sens, mask, x, y = _instance(16)
+    s = mask.line_selected
+    k_dc = np.full(y.shape[:-1] + (mask.n_selected,), np.nan, dtype=complex)
+    prior = TikhonovPrior()
+    for v in (1.0, 0.35, rng.uniform(0.0, 1.0, (8, 8))):
+        m = dc_update(x, y, sens, mask, 0.7, v, k_dc)
+        np.testing.assert_array_equal(m, dc_update(x, y, sens, mask, 0.7, v))
+        np.testing.assert_allclose(k_dc, fft2c(m)[..., s], rtol=0, atol=1e-12)
+        state = SolverState(x=x, z=x, m=m, t=1)
+        with_buffer = objective(state, y, sens, mask, 0.7, 1.0, 0.1, prior, v, k_dc)
+        assert with_buffer == pytest.approx(
+            objective(state, y, sens, mask, 0.7, 1.0, 0.1, prior, v), rel=1e-12)
+    for bad in (k_dc[:1], k_dc[..., :-1], k_dc.astype(np.complex64)):
+        with pytest.raises(ShapeError, match="k_dc must be complex128"):
+            dc_update(x, y, sens, mask, 0.7, 1.0, bad)
+        with pytest.raises(ShapeError, match="k_dc must be complex128"):
+            objective(state, y, sens, mask, 0.7, 1.0, 0.1, prior, 1.0, bad)
 
 
 def test_solver_geometry_validation():

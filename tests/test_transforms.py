@@ -110,3 +110,47 @@ def test_inner_product_conjugate_linear_in_first_argument():
     c = 0.5 + 2.0j
     assert inner_product(c * a, b) == pytest.approx(np.conj(c) * inner_product(a, b))
     assert inner_product(a, c * b) == pytest.approx(c * inner_product(a, b))
+
+
+def _shifted_reference(x, transform):
+    axes = (-2, -1)
+    shifted = np.fft.ifftshift(x, axes=axes)
+    return np.fft.fftshift(transform(shifted, axes=axes, norm="ortho"), axes=axes)
+
+
+def _layouts(rng, dtype):
+    """2D, batched, odd and non-contiguous inputs of one complex dtype."""
+    base = random_complex(rng, (3, 33, 47)).astype(dtype)
+    return [base[0], base, random_complex(rng, (2, 2, 8, 10)).astype(dtype),
+            base[:, ::2, 1:], np.swapaxes(base, -1, -2)]
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_bit_identical_to_shifted_numpy_pair(dtype):
+    rng = np.random.default_rng(8)
+    for x in _layouts(rng, dtype):
+        for ours, transform in ((fft2c, np.fft.fft2), (ifft2c, np.fft.ifft2)):
+            got, want = ours(x), _shifted_reference(x, transform)
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
+
+def test_input_is_never_modified_or_shared():
+    rng = np.random.default_rng(9)
+    for x in _layouts(rng, np.complex128) + _layouts(rng, np.complex64):
+        before = x.copy()
+        for transform in (fft2c, ifft2c):
+            out = transform(x)
+            np.testing.assert_array_equal(x, before)
+            assert not np.shares_memory(out, x)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_real_input_keeps_dtype_and_agrees_to_round_off(dtype):
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((2, 33, 47)).astype(dtype)
+    tol = 10 * np.finfo(dtype).eps * np.sqrt(x.size)
+    for ours, transform in ((fft2c, np.fft.fft2), (ifft2c, np.fft.ifft2)):
+        got, want = ours(x), _shifted_reference(x, transform)
+        assert got.dtype == want.dtype
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol * np.abs(want).max())
