@@ -47,7 +47,7 @@ from .errors import (
 )
 from .masks import MASK_KINDS, PRESETS, load_mask, mask_summary, save_mask
 from .metrics import PSNR_TEXT_CAP, evaluate, psnr
-from .operators import SensitivitySet, zero_filled
+from .operators import SensitivitySet
 from .phantoms import PHANTOM_KINDS, make_phantom, simulate_case
 from .priors import _check_weight, make_prior
 from .sensitivity import estimate_maps
@@ -259,9 +259,8 @@ def _run_recon(y, sens, mask, config, out_path, gt=None):
     save_image(out_path, x, kind="recon")
     extra = []
     if gt is not None:
-        x0 = zero_filled(y, sens)
         support = sens.support
-        p0 = psnr(np.abs(x0)[support], np.abs(gt)[support])
+        p0 = psnr(np.abs(state.x0)[support], np.abs(gt)[support])
         p1 = psnr(np.abs(x)[support], np.abs(gt)[support])
         extra = [
             f"# psnr_zero_filled: {min(p0, PSNR_TEXT_CAP):.4f}",
@@ -284,6 +283,7 @@ def cmd_recon(args):
         config.record_history = True
     y, sens, mask, case = _load_case(args.case, args.estimate_sens)
     out = Path(args.out) if args.out else case / "recon"
+    out.parent.mkdir(parents=True, exist_ok=True)
     gt = None
     if (case / "gt").exists():
         gt, _ = load_image(case / "gt")

@@ -3,7 +3,8 @@
 The per-coil forward model is y_l = U F S_l x + n_l, with U the line
 mask, F the centered unitary 2D DFT and S_l the coil sensitivity map.
 Measured data is materialized zero-filled on the full grid (U^H y), so
-every operator works on (Nc, H, W) arrays with no index bookkeeping.
+every operator takes or returns full (Nc, H, W) k-space; forward and adjoint
+transform only the sampled columns (the ``lines`` of the transforms).
 Noise is injected on sampled lines only; unsampled positions are never
 measured.
 """
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .masks import apply_mask
 from .priors import _check_weight
 from .transforms import fft2c, ifft2c
 
@@ -117,20 +117,23 @@ def forward(x, sens, mask, noise_sigma=0.0, seed=None):
     """
     _check_geometry(sens, mask, image=x)
     noise_sigma = _check_weight(noise_sigma, "noise_sigma", allow_zero=True)
-    y = apply_mask(fft2c(sens.maps * x), mask)
+    s = mask.line_selected
+    y = np.zeros(sens.maps.shape, dtype=complex)
+    y[..., s] = fft2c(sens.maps * x, s)
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
         noise = noise_sigma * (
             rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
         )
-        y = y + apply_mask(noise, mask)
+        y[..., s] += noise[..., s]
     return y
 
 
 def adjoint(y, sens, mask):
     """sum_l S_l^H F^H U^H U y_l, the exact adjoint of the noiseless forward."""
     _check_geometry(sens, mask, coils=y)
-    return np.sum(np.conj(sens.maps) * ifft2c(apply_mask(y, mask)), axis=0)
+    s = mask.line_selected
+    return np.sum(np.conj(sens.maps) * ifft2c(np.asarray(y)[..., s], s), axis=0)
 
 
 def zero_filled(y, sens):

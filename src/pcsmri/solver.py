@@ -17,8 +17,11 @@ Every block is therefore minimized exactly (TV up to its duality gap),
 so F is non-increasing across iterations for every v as
 long as alpha, beta and lam stay constant.
 
-m_l lives in image domain; the sampled k-space columns that the DC step
-wrote are carried into the objective instead of transforming m again.
+m_l lives in image domain. The DC step only transforms the sampled
+columns: m_l = S_l x + F^H U^H (k_new - k), a correction on the sampled
+lines added to the unchanged S_l x, so no full 2D transform of the coil
+stack is made. The sampled columns k_new that it wrote are carried into
+the objective instead of transforming m again.
 """
 
 from dataclasses import dataclass, field
@@ -95,12 +98,16 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Iterates and objective trace of a finished (or failed) solve."""
+    """Iterates and objective trace of a finished (or failed) solve.
+
+    ``x0`` is the zero-filled estimate the solve started from.
+    """
 
     x: np.ndarray
     z: np.ndarray
     m: np.ndarray
     t: int
+    x0: np.ndarray | None = None
     objective_history: list = field(default_factory=list)
     objective_includes_prior: bool = True
     warnings: list = field(default_factory=list)
@@ -108,12 +115,18 @@ class SolverState:
 
 
 def _data_term(sens, mask, y, alpha, v, k_dc=None):
-    """Checked alpha and k_dc; w = v*alpha/(alpha + 1 - v) and y on sampled bins."""
+    """Checked alpha and k_dc; w = v*alpha/(alpha + 1 - v) and y on sampled bins.
+
+    w is a float64 scalar for a scalar v and (H, n_selected) for a v_map,
+    so both promote complex64 data alike; it broadcasts against the
+    (Nc, H, n_selected) sampled bins.
+    """
     alpha = _check_weight(alpha, "alpha")
-    v = _check_blend(v)
+    v = np.asarray(_check_blend(v))
     _check_geometry(sens, mask, coils=y, blend=v)
-    v = np.broadcast_to(v, sens.shape)[:, mask.line_selected]
-    y_s = y[..., mask.line_selected]
+    s = mask.line_selected
+    v = v if v.ndim == 0 else v[:, s]
+    y_s = y[..., s]
     if k_dc is not None and (k_dc.shape != y_s.shape or k_dc.dtype != np.complex128):
         raise ShapeError(f"k_dc must be complex128 of shape {y_s.shape}")
     return alpha, v * alpha / (alpha + (1.0 - v)), y_s
@@ -122,19 +135,24 @@ def _data_term(sens, mask, y, alpha, v, k_dc=None):
 def dc_update(x_prev, y, sens, mask, alpha, v=1.0, k_dc=None):
     """Per-coil data-consistency step, solved bin by bin in k-space.
 
-    With k = fft2c(S_l * x_prev), each sampled bin moves to
-    (w*y + alpha*k)/(w + alpha), the exact minimizer of the coil
+    With k = fft2c(S_l * x_prev) on the sampled columns, each sampled bin
+    moves to (w*y + alpha*k)/(w + alpha), the exact minimizer of the coil
     subproblem under the data weight w = v*alpha/(alpha + 1 - v) that
     ``objective`` applies for the same blend v (w = 1 at v = 1, exact
-    consistency); unsampled bins keep k. Returns per-coil images; the new
-    sampled bins are computed into ``k_dc``, a caller-owned buffer, if given.
+    consistency); unsampled bins keep k. Returns per-coil images
+    S_l * x_prev plus the inverse transform of that change on the sampled
+    columns; the new sampled bins are computed into ``k_dc``, a
+    caller-owned buffer, if given.
     """
     alpha, w, y_s = _data_term(sens, mask, y, alpha, v, k_dc)
     _check_geometry(sens, image=x_prev)
     s = mask.line_selected
-    k = fft2c(sens.maps * x_prev)
-    k[..., s] = np.divide(w * y_s + alpha * k[..., s], w + alpha, out=k_dc)
-    return ifft2c(k)
+    coil_images = sens.maps * x_prev
+    k = fft2c(coil_images, s)
+    k_new = np.divide(w * y_s + alpha * k, w + alpha, out=k_dc)
+    m = ifft2c(np.subtract(k_new, k, out=k), s)
+    m += coil_images
+    return m
 
 
 def x_update(z, m, sens, alpha, beta):
@@ -160,7 +178,7 @@ def objective(state, y, sens, mask, alpha, beta, lam, prior, v=1.0, k_dc=None):
     """
     alpha, w, y_s = _data_term(sens, mask, y, alpha, v, k_dc)
     beta, lam = _check_weight(beta, "beta"), _check_weight(lam, "lambda", True)
-    k = fft2c(state.m)[..., mask.line_selected] if k_dc is None else k_dc
+    k = fft2c(state.m, mask.line_selected) if k_dc is None else k_dc
     residual = (k - y_s) * np.sqrt(w)
     total = (0.5 * l2_norm(residual) ** 2
              + 0.5 * alpha * l2_norm(state.m - sens.maps * state.x) ** 2
@@ -192,7 +210,7 @@ def solve(y, sens, mask, config):
     prior = config.prior
     x = zero_filled(y, sens)
     _check_finite(x, "initial estimate", 0)
-    state = SolverState(x=x, z=x.copy(), m=sens.maps * x, t=0,
+    state = SolverState(x=x, z=x.copy(), m=sens.maps * x, t=0, x0=x,
                         objective_includes_prior=prior.value(x) is not None)
     dual = prior.new_dual(x.shape)
     k_dc = np.empty((*y.shape[:-1], mask.n_selected), dtype=complex)

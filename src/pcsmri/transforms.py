@@ -10,6 +10,17 @@ Conventions used throughout the package:
   exact adjoints and inverses of each other and preserve the l2 norm.
   The closed-form data-consistency update relies on this. Each transform
   runs in place on a private shifted copy, so its input is never touched.
+
+Both transforms take an optional ``lines``: one bool flag per k-space
+column, shape (W,), such as ``SamplingMask.line_selected``. Then
+``fft2c(img, lines)`` returns only the n flagged columns, shape
+(..., H, n), and ``ifft2c(ksp, lines)`` takes those n columns and treats
+every other column as zero. Each costs one full-size 1-D FFT along W and
+an H-axis FFT of the n columns only. The W centering becomes a phase per
+column, exactly +-1 for even W, and the H shifts move only the (..., H, n)
+columns, so no full-grid shift is made. Results agree with the full
+transform followed by (or preceded by zero-filling to) the flagged
+columns to round-off.
 """
 
 import numpy as np
@@ -19,26 +30,74 @@ from .errors import ShapeError
 _AXES = (-2, -1)
 
 
-def _centered(transform, x, name):
+def _checked(x, name):
     x = np.asarray(x)
     if x.ndim < 2:
         raise ShapeError(f"{name} must have at least 2 dimensions, got {x.ndim}")
     if x.shape[-1] == 0 or x.shape[-2] == 0:
         raise ShapeError(f"{name} has a zero-sized dimension: {x.shape}")
-    buf = np.fft.ifftshift(x, axes=_AXES)
+    return x
+
+
+def _centered(transform, x, axes=_AXES):
+    buf = np.fft.ifftshift(x, axes=axes)
     buf = buf.astype(np.result_type(buf, np.complex64), copy=False)
-    transform(buf, axes=_AXES, norm="ortho", out=buf)
-    return np.fft.fftshift(buf, axes=_AXES)
+    transform(buf, axes=axes, norm="ortho", out=buf)
+    return np.fft.fftshift(buf, axes=axes)
 
 
-def fft2c(img):
-    """Centered, unitarily normalized 2D DFT over the last two axes."""
-    return _centered(np.fft.fftn, img, "image")
+def _columns(lines, width=None):
+    """Width, uncentered frequencies of the flagged columns, W-centering phase."""
+    lines = np.asarray(lines)
+    if (lines.dtype != bool or lines.ndim != 1 or lines.size == 0
+            or (width is not None and lines.size != width)):
+        raise ShapeError(
+            f"lines must be one bool flag per column, shape ({width or 'W'},); "
+            f"got {lines.dtype} of shape {lines.shape}"
+        )
+    width, c = lines.size, lines.size // 2
+    f = (np.flatnonzero(lines) - c) % width
+    # ifftshift along W multiplies frequency f by exp(2 pi i f c / W)
+    if width % 2:
+        return width, f, np.exp(2j * np.pi * ((f * c) % width) / width)
+    return width, f, 1.0 - 2.0 * (f % 2)
 
 
-def ifft2c(ksp):
-    """Inverse of :func:`fft2c` (exact to round-off)."""
-    return _centered(np.fft.ifftn, ksp, "k-space")
+def fft2c(img, lines=None):
+    """Centered, unitarily normalized 2D DFT over the last two axes.
+
+    With ``lines``, only the flagged columns, of shape (..., H, n).
+    """
+    x = _checked(img, "image")
+    if lines is None:
+        return _centered(np.fft.fftn, x)
+    _, f, phase = _columns(lines, x.shape[-1])
+    ksp = np.fft.fft(x, axis=-1, norm="ortho")[..., f]
+    ksp *= phase
+    return _centered(np.fft.fftn, ksp, axes=(-2,))
+
+
+def ifft2c(ksp, lines=None):
+    """Inverse of :func:`fft2c` (exact to round-off).
+
+    With ``lines``, ksp holds the flagged columns only, (..., H, n), and
+    every other column is zero.
+    """
+    if lines is None:
+        return _centered(np.fft.ifftn, _checked(ksp, "k-space"))
+    width, f, phase = _columns(lines)
+    ksp = np.asarray(ksp)
+    if ksp.ndim < 2 or ksp.shape[-2] == 0 or ksp.shape[-1] != f.size:
+        raise ShapeError(
+            f"k-space columns {ksp.shape} do not match the {f.size} flagged lines"
+        )
+    # allocated before the small temporaries, so that it can take the place
+    # of a freed full-size array instead of growing the heap
+    img = np.zeros((*ksp.shape[:-1], width), np.result_type(ksp, np.complex64))
+    hybrid = _centered(np.fft.ifftn, ksp, axes=(-2,))
+    hybrid *= np.conj(phase)
+    img[..., f] = hybrid
+    return np.fft.ifft(img, axis=-1, norm="ortho", out=img)
 
 
 def l2_norm(x):

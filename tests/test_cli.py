@@ -17,11 +17,12 @@ from pcsmri import __version__
 from pcsmri.cli import main
 from pcsmri.container import load_array, load_image, save_image
 from pcsmri.masks import load_mask, make_random_mask
-from pcsmri.metrics import evaluate
+from pcsmri.metrics import evaluate, psnr
 from pcsmri.operators import SensitivitySet, zero_filled
 from pcsmri.phantoms import make_phantom, simulate_case
 from pcsmri.priors import TikhonovPrior
 from pcsmri.sensitivity import estimate_maps
+from pcsmri.transforms import ifft2c
 from pcsmri.solver import SolverConfig, solve
 
 
@@ -222,6 +223,41 @@ def test_recon_matches_library_solve(tmp_path, capsys):
     assert set(extras) == {"psnr_zero_filled", "psnr_recon", "psnr_gain"}
     assert extras["psnr_gain"] == pytest.approx(
         extras["psnr_recon"] - extras["psnr_zero_filled"], abs=1e-3)
+
+
+def test_recon_psnr_lines_reuse_the_solve_start(tmp_path, monkeypatch):
+    case = small_case_dir(tmp_path)
+    calls = []
+
+    def counted(ksp, lines=None):
+        calls.append(lines)
+        return ifft2c(ksp, lines)
+
+    # zero_filled is the one operator that inverts a full grid
+    monkeypatch.setattr("pcsmri.operators.ifft2c", counted)
+    assert run_cli("recon", "--case", case) == 0
+    assert calls == [None]
+    # the logged zero-filled PSNR is that of an independent estimate
+    y, sens, _ = load_case_like_cli(case)
+    gt, _ = load_image(case / "gt")
+    support = sens.support
+    p0 = psnr(np.abs(zero_filled(y, sens))[support], np.abs(gt)[support])
+    _, _, extras = read_objective_log(case / "objective.log")
+    assert extras["psnr_zero_filled"] == float(f"{p0:.4f}")
+
+
+def test_recon_out_creates_missing_directories(tmp_path):
+    case = small_case_dir(tmp_path)
+    assert run_cli("recon", "--case", case, "--out", case / "recon") == 0
+    out = tmp_path / "new" / "deeper" / "recon"
+    assert run_cli("recon", "--case", case, "--out", out) == 0
+    assert file_digest(out) == file_digest(case / "recon")
+    for name in ("objective.log", "recon_manifest.txt"):
+        assert file_digest(out.parent / name) == file_digest(case / name)
+    # a case that cannot be loaded still exits 3 and creates nothing
+    missing = tmp_path / "other" / "recon"
+    assert run_cli("recon", "--case", tmp_path / "nope", "--out", missing) == 3
+    assert not missing.parent.exists()
 
 
 def test_recon_manifest_records_config_without_paths(tmp_path):

@@ -476,9 +476,9 @@ def test_solve_transforms_forward_once_per_iteration(monkeypatch):
                                       noise_sigma=0.02, seed=14)
     calls = []
 
-    def counted(img):
-        calls.append(np.shape(img))
-        return fft2c(img)
+    def counted(img, lines=None):
+        calls.append(lines)
+        return fft2c(img, lines)
 
     monkeypatch.setattr("pcsmri.solver.fft2c", counted)
     for iterations in (1, 4):
@@ -487,6 +487,9 @@ def test_solve_transforms_forward_once_per_iteration(monkeypatch):
                                           iterations=iterations))
         # one in each DC step, one for the objective at t = 0
         assert len(calls) == iterations + 1
+        # each transforms only the sampled lines
+        for lines in calls:
+            np.testing.assert_array_equal(lines, mask.line_selected)
 
 
 @pytest.mark.parametrize("v", ["one", "half", "map"])

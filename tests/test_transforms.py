@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_complex
 from oracles import centered_dft2_apply
@@ -154,3 +156,81 @@ def test_real_input_keeps_dtype_and_agrees_to_round_off(dtype):
         got, want = ours(x), _shifted_reference(x, transform)
         assert got.dtype == want.dtype
         np.testing.assert_allclose(got, want, rtol=0, atol=tol * np.abs(want).max())
+
+
+def _flagged(rng, width, kind):
+    """One bool flag per column: a random subset (maybe empty), one or all."""
+    return {"random": rng.random(width) < 0.4,
+            "one": np.arange(width) == rng.integers(width),
+            "all": np.ones(width, dtype=bool)}[kind]
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=st.lists(st.integers(1, 3), max_size=2), h=st.integers(1, 40),
+       w=st.integers(1, 40), kind=st.sampled_from(["random", "one", "all"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(batch=[], h=8, w=8, kind="one", seed=0)
+@example(batch=[2], h=9, w=7, kind="all", seed=1)
+@example(batch=[3, 2], h=16, w=31, kind="random", seed=2)
+@example(batch=[4], h=33, w=12, kind="one", seed=3)
+def test_lines_restrict_the_full_transforms(batch, h, w, kind, seed):
+    rng = np.random.default_rng(seed)
+    lines = _flagged(rng, w, kind)
+    x = random_complex(rng, (*batch, h, w))
+    k = random_complex(rng, (*batch, h, int(lines.sum())))
+    x_before, k_before = x.copy(), k.copy()
+    scale = 1e-12 * l2_norm(x)
+
+    got = fft2c(x, lines)
+    assert got.shape == k.shape and got.dtype == np.complex128
+    # full transform, then select the flagged columns
+    assert l2_norm(got - fft2c(x)[..., lines]) <= scale
+    back = ifft2c(k, lines)
+    assert back.shape == x.shape and back.dtype == np.complex128
+    # zero-fill the other columns, then the full inverse
+    filled = np.zeros(x.shape, dtype=complex)
+    filled[..., lines] = k
+    assert l2_norm(back - ifft2c(filled)) <= 1e-12 * l2_norm(k)
+    # the restricted pair is adjoint, and inverts on the flagged columns
+    lhs, rhs = inner_product(got, k), inner_product(x, back)
+    assert abs(lhs - rhs) <= 1e-12 * l2_norm(x) * l2_norm(k)
+    assert l2_norm(fft2c(back, lines) - k) <= 1e-12 * l2_norm(k)
+
+    np.testing.assert_array_equal(x, x_before)
+    np.testing.assert_array_equal(k, k_before)
+    assert not np.shares_memory(got, x) and not np.shares_memory(back, k)
+
+
+@pytest.mark.parametrize("shape", [(2, 16, 12), (9, 7)])
+def test_lines_keep_single_precision(shape):
+    rng = np.random.default_rng(11)
+    lines = _flagged(rng, shape[-1], "random") | _flagged(rng, shape[-1], "one")
+    x = random_complex(rng, shape).astype(np.complex64)
+    got = fft2c(x, lines)
+    back = ifft2c(got, lines)
+    assert got.dtype == back.dtype == np.complex64
+    want = fft2c(x.astype(np.complex128))[..., lines]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * np.abs(want).max())
+
+
+def test_lines_must_be_one_bool_flag_per_column():
+    rng = np.random.default_rng(12)
+    x = random_complex(rng, (2, 8, 10))
+    lines = np.zeros(10, dtype=bool)
+    lines[[1, 4, 5]] = True
+    k = fft2c(x, lines)
+    for bad in (lines[:-1], np.append(lines, True), np.flatnonzero(lines),
+                lines.astype(int), lines.astype(float), lines[None, :],
+                np.zeros(0, dtype=bool)):
+        with pytest.raises(ShapeError, match="bool flag per column"):
+            fft2c(x, bad)
+    for bad in (np.flatnonzero(lines), lines.astype(np.uint8), lines[None, :]):
+        with pytest.raises(ShapeError, match="bool flag per column"):
+            ifft2c(k, bad)
+    # the columns given must be the flagged ones
+    with pytest.raises(ShapeError, match="flagged lines"):
+        ifft2c(k[..., :2], lines)
+    with pytest.raises(ShapeError, match="flagged lines"):
+        ifft2c(k[0, 0], lines)
+    with pytest.raises(ShapeError):
+        fft2c(np.ones(10), lines)
