@@ -21,7 +21,6 @@ from .masks import (
     PRESETS,
     SamplingMask,
     acs_band,
-    apply_mask,
     load_mask,
     make_equispaced_mask,
     make_preset_mask,
@@ -76,7 +75,6 @@ __all__ = [
     "TotalVariationPrior",
     "acs_band",
     "adjoint",
-    "apply_mask",
     "dc_update",
     "estimate_maps",
     "evaluate",

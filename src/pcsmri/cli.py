@@ -28,7 +28,6 @@ import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -201,19 +200,19 @@ def cmd_sense(args):
 
 
 def cmd_simulate(args):
-    given = (args.mask_kind, args.r, args.acs)
-    if args.preset and given != (None, None, None):
+    given = {key: value for key, value in (
+        ("mask_kind", args.mask_kind), ("r", args.r), ("acs_width", args.acs))
+        if value is not None}
+    if args.preset and given:
         raise ConfigError("--preset sets the mask; drop --mask-kind, --r and --acs")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     height = args.size if args.height is None else args.height
     width = args.size if args.width is None else args.width
-    defaults = astuple(PRESETS[args.preset]) if args.preset else ("random", 4.0, 24)
-    kind, r, acs = (d if g is None else g for g, d in zip(given, defaults))
     x_gt, sens, y, mask = simulate_case(
-        height, width, n_coils=args.coils, phantom=args.phantom, mask_kind=kind,
-        r=r, acs_width=acs, noise_sigma=args.sigma, seed=args.seed,
-        phase_ramp=args.phase_ramp,
+        height, width, n_coils=args.coils, phantom=args.phantom,
+        preset=args.preset, noise_sigma=args.sigma, seed=args.seed,
+        phase_ramp=args.phase_ramp, **given,
     )
     save_image(out / "gt", x_gt, kind="gt")
     _save_sens(out / "sens", sens)
@@ -223,7 +222,8 @@ def cmd_simulate(args):
         out / "manifest.txt", "simulate",
         [("height", height), ("width", width), ("coils", args.coils),
          ("phantom", args.phantom), ("preset", args.preset or "none"),
-         ("mask_kind", kind), ("r", r), ("acs_width", acs),
+         ("mask_kind", mask.kind), ("r", mask.acceleration),
+         ("acs_width", mask.acs_width),
          ("noise_sigma", args.sigma), ("phase_ramp", args.phase_ramp),
          ("seed", args.seed)],
     )

@@ -36,9 +36,9 @@ def acs_band(width, acs_width):
 class SamplingMask:
     """Binary selection of phase-encode lines (columns) of an H x W grid.
 
-    ``line_selected`` holds one flag per column; :func:`apply_mask`
-    realizes the projection U^H U from it. Instances are immutable and
-    safe to share.
+    ``line_selected`` holds one flag per column; ``forward``, ``adjoint``
+    and the DC step transform only the flagged columns, so U^H U is never
+    applied on the full grid. Instances are immutable and safe to share.
     """
 
     height: int
@@ -134,21 +134,6 @@ def make_equispaced_mask(height, width, r, acs_width, seed):
 
 
 MASK_KINDS = {"random": make_random_mask, "equispaced": make_equispaced_mask}
-
-
-def apply_mask(ksp, mask):
-    """Zero unselected lines; selected lines are copied bit-exactly.
-
-    Realizes U^H U on a full grid, and U^H y when applied to measured
-    data. Accepts (H, W) or batched (..., H, W) arrays.
-    """
-    ksp = np.asarray(ksp)
-    if ksp.ndim < 2 or ksp.shape[-2:] != (mask.height, mask.width):
-        raise ShapeError(
-            f"k-space shape {ksp.shape} does not match mask "
-            f"({mask.height}, {mask.width})"
-        )
-    return np.where(mask.line_selected, ksp, 0)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,10 @@ with abs() first. PSNR and SSIM are asymmetric (the second argument is
 the reference supplying peak and dynamic range); RMSE and NMSE are the
 usual l2 quantities. An optional boolean support restricts the
 comparison to the region where the reconstruction is defined.
+
+SSIM's 11x11 Gaussian window (sigma 1.5; Wang et al., 2004) is the
+outer product of a normalized 1-D Gaussian, so each local mean is two
+1-D passes, along rows and then along columns, rather than one 2-D sum.
 """
 
 import math
@@ -69,16 +73,18 @@ def nmse(rec, gt):
 
 
 def _gaussian_window(size, sigma):
+    """Normalized 1-D Gaussian g; the 2-D SSIM window is outer(g, g)."""
     half = (size - 1) / 2.0
     g = np.exp(-((np.arange(size) - half) ** 2) / (2.0 * sigma**2))
-    win = np.outer(g, g)
-    return win / win.sum()
+    return g / g.sum()
 
 
-def _windowed_mean(img, win):
-    # valid-mode weighted local means without a scipy dependency
-    view = np.lib.stride_tricks.sliding_window_view(img, win.shape)
-    return np.einsum("ijkl,kl->ij", view, win)
+def _windowed_mean(img, g):
+    # valid-mode local means under outer(g, g) without a scipy dependency:
+    # the window is separable, so filter along rows, then along columns
+    view = np.lib.stride_tricks.sliding_window_view
+    rows = view(img, g.size, axis=1) @ g
+    return view(rows, g.size, axis=0) @ g
 
 
 def ssim(rec, gt, support=None):
@@ -99,12 +105,12 @@ def ssim(rec, gt, support=None):
         span = max(float(gt.max()), 1.0)
     c1 = (_SSIM_K1 * span) ** 2
     c2 = (_SSIM_K2 * span) ** 2
-    win = _gaussian_window(_SSIM_WINDOW, _SSIM_SIGMA)
-    mu_r = _windowed_mean(rec, win)
-    mu_g = _windowed_mean(gt, win)
-    rr = _windowed_mean(rec * rec, win) - mu_r**2
-    gg = _windowed_mean(gt * gt, win) - mu_g**2
-    rg = _windowed_mean(rec * gt, win) - mu_r * mu_g
+    g = _gaussian_window(_SSIM_WINDOW, _SSIM_SIGMA)
+    mu_r = _windowed_mean(rec, g)
+    mu_g = _windowed_mean(gt, g)
+    rr = _windowed_mean(rec * rec, g) - mu_r**2
+    gg = _windowed_mean(gt * gt, g) - mu_g**2
+    rg = _windowed_mean(rec * gt, g) - mu_r * mu_g
     ssim_map = ((2 * mu_r * mu_g + c1) * (2 * rg + c2)) / (
         (mu_r**2 + mu_g**2 + c1) * (rr + gg + c2)
     )

@@ -152,8 +152,11 @@ def simulate_case(height, width, n_coils=4, phantom="shepp_logan",
     """Generate one synthetic acquisition: (x_gt, sens, y, mask).
 
     A preset name (one of PRESETS) overrides mask_kind/r/acs_width.
-    The seed drives four independent streams (phantom, coils, mask,
-    noise), so the case is reproducible bit-exactly.
+    This is the only preset path of ``pcsmri simulate``: it passes
+    --preset, or just the mask flags it was given, so the defaults here
+    are the CLI's too. The returned mask records the realized kind,
+    acceleration and ACS width. The seed drives four independent streams
+    (phantom, coils, mask, noise), so the case is reproducible bit-exactly.
     """
     sub = np.random.SeedSequence(seed).generate_state(4)
     x_gt = make_phantom(height, width, phantom, rng_seed=int(sub[0]),

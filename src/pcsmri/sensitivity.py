@@ -42,14 +42,6 @@ def extract_acs(ksp, acs_width, mask=None):
     return acs
 
 
-def _hann2d(h, w, r0, r1, c0, c1):
-    win = np.zeros((h, w))
-    wr = np.hanning(r1 - r0 + 2)[1:-1]
-    wc = np.hanning(c1 - c0 + 2)[1:-1]
-    win[r0:r1, c0:c1] = np.outer(wr, wc)
-    return win
-
-
 def estimate_maps(ksp, acs_width, mask=None, apodize=True,
                   threshold=SUPPORT_THRESHOLD):
     """Estimate normalized coil maps from the ACS block of measured k-space.
@@ -70,11 +62,14 @@ def estimate_maps(ksp, acs_width, mask=None, apodize=True,
         of its peak.
     """
     acs = extract_acs(ksp, acs_width, mask=mask)
-    nc, h, w = acs.shape
     if apodize:
+        _, h, w = acs.shape
         r0, r1 = acs_band(h, acs_width)
         c0, c1 = acs_band(w, acs_width)
-        acs = acs * _hann2d(h, w, r0, r1, c0, c1)
+        hann = np.hanning(acs_width + 2)[1:-1]
+        # window in float64 precision: complex64 k-space becomes complex128
+        acs = acs.astype(np.result_type(acs, np.float64), copy=False)
+        acs[:, r0:r1, c0:c1] *= np.outer(hann, hann)
     if not np.any(acs):
         raise EstimationError("calibration region contains no signal")
     return SensitivitySet.from_profiles(ifft2c(acs), threshold)

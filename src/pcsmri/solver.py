@@ -178,6 +178,8 @@ def objective(state, y, sens, mask, alpha, beta, lam, prior, v=1.0, k_dc=None):
     """
     alpha, w, y_s = _data_term(sens, mask, y, alpha, v, k_dc)
     beta, lam = _check_weight(beta, "beta"), _check_weight(lam, "lambda", True)
+    _check_geometry(sens, image=state.x)
+    _check_geometry(sens, image=state.z, coils=state.m, name="coil images")
     k = fft2c(state.m, mask.line_selected) if k_dc is None else k_dc
     residual = (k - y_s) * np.sqrt(w)
     total = (0.5 * l2_norm(residual) ** 2

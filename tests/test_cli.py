@@ -16,7 +16,7 @@ from conftest import FAIL_STUB, IDENTITY_STUB, NAN_STUB, make_stub
 from pcsmri import __version__
 from pcsmri.cli import main
 from pcsmri.container import load_array, load_image, save_image
-from pcsmri.masks import load_mask, make_random_mask
+from pcsmri.masks import PRESETS, load_mask, make_random_mask
 from pcsmri.metrics import evaluate, psnr
 from pcsmri.operators import SensitivitySet, zero_filled
 from pcsmri.phantoms import make_phantom, simulate_case
@@ -197,6 +197,24 @@ def test_simulate_preset_manifest_records_the_preset_mask(tmp_path):
         assert needle in text
     mask = load_mask(case / "mask")
     assert (mask.kind, mask.acceleration, mask.acs_width) == ("random", 6.0, 24)
+
+
+@pytest.mark.parametrize("flags, expected", [
+    *(({"preset": name}, (p.kind, p.r, p.acs_width)) for name, p in PRESETS.items()),
+    ({}, ("random", 4.0, 24)),
+    ({"mask_kind": "equispaced", "r": "3", "acs": "12"}, ("equispaced", 3.0, 12)),
+    ({"r": "2.5"}, ("random", 2.5, 24)),
+], ids=[*PRESETS, "defaults", "explicit", "r-only"])
+def test_simulate_manifest_mask_fields_equal_the_realized_mask(
+        tmp_path, flags, expected):
+    case = simulate_cli(tmp_path / "case", height="32", width="192", coils="1",
+                        seed="3", **flags)
+    lines = (case / "manifest.txt").read_text().splitlines()[1:]
+    fields = dict(line.split(": ", 1) for line in lines)
+    mask = load_mask(case / "mask")
+    assert fields["preset"] == flags.get("preset", "none")
+    recorded = (fields["mask_kind"], float(fields["r"]), int(fields["acs_width"]))
+    assert recorded == (mask.kind, mask.acceleration, mask.acs_width) == expected
 
 
 def test_recon_matches_library_solve(tmp_path, capsys):

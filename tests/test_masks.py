@@ -15,7 +15,6 @@ from pcsmri import (
     SamplingMask,
     ShapeError,
     acs_band,
-    apply_mask,
     load_array,
     load_mask,
     make_equispaced_mask,
@@ -132,23 +131,6 @@ def test_mask_dataclass_validates_and_freezes():
         SamplingMask(8, 16, np.zeros(15, dtype=bool), 0, 4.0)
     with pytest.raises(ShapeError):
         SamplingMask(0, 16, lines, 4, 4.0)
-
-
-def test_apply_mask_zeroes_unselected_lines_only():
-    mask = make_random_mask(8, 16, 2.0, 4, seed=2)
-    rng = np.random.default_rng(0)
-    ksp = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
-    out = apply_mask(ksp, mask)
-    np.testing.assert_array_equal(out[:, mask.line_selected], ksp[:, mask.line_selected])
-    assert np.all(out[:, ~mask.line_selected] == 0)
-
-    batched = apply_mask(np.stack([ksp, 2 * ksp]), mask)
-    np.testing.assert_array_equal(batched[1], 2 * out)
-
-    with pytest.raises(ShapeError):
-        apply_mask(ksp[:, :12], mask)
-    with pytest.raises(ShapeError):
-        apply_mask(ksp[0], mask)
 
 
 def test_mask_round_trips_through_disk(tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_complex
 from oracles import nmse_scalar, psnr_scalar, rmse_scalar, ssim_scalar
@@ -16,6 +18,7 @@ from pcsmri import (
     rmse,
     ssim,
 )
+from pcsmri.metrics import _gaussian_window, _windowed_mean
 
 
 def _pair(seed, shape=(24, 20)):
@@ -84,6 +87,22 @@ def test_ssim_matches_definitional_loop():
     for seed in range(3):
         rec, gt = _pair(seed + 20)
         assert abs(ssim(rec, gt) - ssim_scalar(rec, gt)) <= 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(11, 48), w=st.integers(11, 48),
+       seed=st.integers(0, 2**32 - 1))
+def test_separable_window_equals_the_2d_outer_product(h, w, seed):
+    # oracle: one 2-D sum under the normalized 11x11 outer-product window
+    g = np.exp(-((np.arange(11) - 5.0) ** 2) / (2.0 * 1.5**2))
+    win = np.outer(g, g)
+    win /= win.sum()
+    img = np.random.default_rng(seed).uniform(0.0, 2.0, (h, w))
+    view = np.lib.stride_tricks.sliding_window_view(img, win.shape)
+    want = np.einsum("ijkl,kl->ij", view, win)
+    got = _windowed_mean(img, _gaussian_window(11, 1.5))
+    assert got.shape == want.shape == (h - 10, w - 10)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_ssim_support_restricts_window_centers():

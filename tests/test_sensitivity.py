@@ -8,9 +8,11 @@ from pcsmri import (
     SamplingMask,
     SensitivitySet,
     ShapeError,
+    acs_band,
     estimate_maps,
     extract_acs,
     fft2c,
+    ifft2c,
     make_coil_profiles,
     make_phantom,
     make_random_mask,
@@ -97,6 +99,29 @@ def test_apodization_changes_and_smooths_the_estimate():
     def roughness(maps):
         return float(np.abs(np.diff(np.abs(maps), axis=1)).mean())
     assert roughness(est_apo.maps) < roughness(est_raw.maps)
+
+
+@pytest.mark.parametrize("apodize", [True, False], ids=["hann", "raw"])
+@pytest.mark.parametrize("dtype", ["<c8", "<c16"])
+def test_estimate_maps_equals_the_full_grid_window_formula(dtype, apodize):
+    # oracle: the Hann window as a full (H, W) grid, zero outside the ACS
+    # block, multiplied into the whole zero-filled k-space
+    phantom, sens, ksp, acs = _true_case(h=45, w=38, n_coils=3, acs=12)
+    rng = np.random.default_rng(4)
+    ksp = (ksp + 0.01 * (rng.standard_normal(ksp.shape)
+                         + 1j * rng.standard_normal(ksp.shape))).astype(dtype)
+    block = extract_acs(ksp, acs)
+    if apodize:
+        (r0, r1), (c0, c1) = acs_band(45, acs), acs_band(38, acs)
+        win = np.zeros((45, 38))
+        win[r0:r1, c0:c1] = np.outer(np.hanning(r1 - r0 + 2)[1:-1],
+                                     np.hanning(c1 - c0 + 2)[1:-1])
+        block = block * win
+    want = SensitivitySet.from_profiles(ifft2c(block))
+    got = estimate_maps(ksp, acs, apodize=apodize)
+    assert got.maps.dtype == want.maps.dtype
+    np.testing.assert_array_equal(got.maps, want.maps)
+    np.testing.assert_array_equal(got.support, want.support)
 
 
 def test_threshold_controls_support_size():

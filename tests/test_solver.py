@@ -534,6 +534,22 @@ def test_dc_update_fills_the_k_dc_buffer():
             objective(state, y, sens, mask, 0.7, 1.0, 0.1, prior, 1.0, bad)
 
 
+@pytest.mark.parametrize("field, index", [
+    ("x", np.s_[:, :1]), ("z", np.s_[:1]), ("m", np.s_[:1]),
+], ids=["x-32x1", "z-1x32", "m-one-coil"])
+def test_objective_rejects_iterates_of_the_wrong_shape(field, index):
+    # a wrong shape must raise, not broadcast into a finite wrong value
+    gt, sens, y, mask = simulate_case(32, 32, n_coils=2, r=2.0, acs_width=8,
+                                      seed=13)
+    prior = TikhonovPrior()
+    _, state = solve(y, sens, mask, SolverConfig(prior=prior, iterations=2))
+    assert objective(state, y, sens, mask, 1.0, 1.0, 0.0, prior) == pytest.approx(
+        state.objective_history[-1], rel=1e-12)
+    setattr(state, field, getattr(state, field)[index])
+    with pytest.raises(ShapeError, match="does not match maps"):
+        objective(state, y, sens, mask, 1.0, 1.0, 0.0, prior)
+
+
 def test_solver_geometry_validation():
     gt, sens, y, mask = simulate_case(32, 32, n_coils=2, r=2.0, acs_width=8,
                                       seed=13)
