@@ -40,7 +40,7 @@ from .priors import (
     make_prior,
     tv_denoise,
 )
-from .sensitivity import estimate_maps, extract_acs
+from .sensitivity import estimate_maps
 from .solver import (
     SolverConfig,
     SolverState,
@@ -78,7 +78,6 @@ __all__ = [
     "dc_update",
     "estimate_maps",
     "evaluate",
-    "extract_acs",
     "fft2c",
     "forward",
     "ifft2c",

@@ -193,6 +193,8 @@ def cmd_mask(args):
 def cmd_sense(args):
     ksp, _ = load_array(args.kspace, expect_kind="kspace")
     mask = load_mask(args.mask) if args.mask else None
+    if args.acs is None:
+        args.acs = 24 if mask is None else mask.acs_width
     sens = estimate_maps(ksp, args.acs, mask=mask, apodize=not args.no_apodize)
     _save_sens(args.out, sens)
     print(f"wrote {sens.n_coils}-coil sensitivity maps to {args.out}")
@@ -424,7 +426,7 @@ def build_parser():
 
     p = subs.add_parser("sense", help="estimate sensitivity maps from k-space")
     p.add_argument("--kspace", required=True)
-    p.add_argument("--acs", type=int, default=24)
+    p.add_argument("--acs", type=int, help="default: the mask's ACS width, else 24")
     p.add_argument("--mask")
     p.add_argument("--no-apodize", action="store_true")
     p.add_argument("--out", default="sens")

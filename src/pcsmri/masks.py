@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import _read_header, _read_payload, _write_header
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ContainerError, ShapeError
 
 _MASK_MAGIC = "pcsmri-mask v1"
 _MASK_FIELDS = {"height": int, "width": int, "r": float, "acs_width": int,
@@ -172,9 +172,12 @@ def save_mask(path, mask):
 
 
 def load_mask(path):
+    """Read a mask written by save_mask; a flag byte not 0 or 1 is an error."""
     height, width, r, acs_width, kind, seed = _read_header(
         path, _MASK_MAGIC, _MASK_FIELDS)
     flags = np.frombuffer(_read_payload(path, width), dtype=np.uint8)
+    if np.any(flags > 1):
+        raise ContainerError(f"{path} holds line flag {flags.max()}, expected 0 or 1")
     return SamplingMask(height, width, flags, acs_width, r, kind, seed)
 
 

@@ -68,11 +68,11 @@ class SensitivitySet:
         return self.maps.shape[1:]
 
     @classmethod
-    def from_profiles(cls, profiles, threshold=SUPPORT_THRESHOLD):
+    def from_profiles(cls, profiles):
         """Normalize raw coil profiles by their RSS inside the support.
 
-        Support is where the RSS exceeds ``threshold`` times its peak.
-        Single-precision profiles are normalized in single precision.
+        Support is where the RSS exceeds ``SUPPORT_THRESHOLD`` times its
+        peak. Single-precision profiles are normalized in single precision.
         """
         profiles = np.asarray(profiles)
         profiles = _check_multicoil(
@@ -82,7 +82,7 @@ class SensitivitySet:
         peak = rss.max()
         if peak == 0:
             raise ConfigError("all-zero coil profiles")
-        support = rss > threshold * peak
+        support = rss > SUPPORT_THRESHOLD * peak
         maps = np.where(support, profiles / np.where(support, rss, 1.0), 0)
         return cls(maps, support)
 

@@ -205,10 +205,16 @@ def solve(y, sens, mask, config):
     evaluated with alpha, beta, lam of round max(t, 1) and the blend v,
     and inner-solver warnings. The prior's ``dual`` and the DC ``k_dc``
     buffers belong to this solve: TV warm-starts from the previous dual.
+    y must be zero on the columns the mask did not sample, as ``forward``
+    leaves it; ProtocolError names the first column where it is not.
     """
     _check_geometry(sens, mask, coils=y, blend=config.dc_blend_v)
     if mask.n_selected == 0:
         raise ProtocolError("mask selects no lines; nothing was measured")
+    stray = np.flatnonzero(~mask.line_selected & np.any(y, axis=(0, 1)))
+    if stray.size:
+        raise ProtocolError(f"k-space is nonzero on unsampled column {stray[0]} "
+                            f"({stray.size} such columns); zero them first")
     prior = config.prior
     x = zero_filled(y, sens)
     _check_finite(x, "initial estimate", 0)

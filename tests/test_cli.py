@@ -15,7 +15,7 @@ import pytest
 from conftest import FAIL_STUB, IDENTITY_STUB, NAN_STUB, make_stub
 from pcsmri import __version__
 from pcsmri.cli import main
-from pcsmri.container import load_array, load_image, save_image
+from pcsmri.container import load_array, load_image, save_array, save_image
 from pcsmri.masks import PRESETS, load_mask, make_random_mask
 from pcsmri.metrics import evaluate, psnr
 from pcsmri.operators import SensitivitySet, zero_filled
@@ -93,6 +93,23 @@ def test_version_flag_and_module_entry(capsys):
     assert __version__ in proc.stdout
 
 
+def test_package_imports_only_numpy_and_the_stdlib():
+    # a fresh interpreter: site hooks may preload third-party modules,
+    # so only modules that importing pcsmri adds are checked
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import pcsmri, pcsmri.cli\n"
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "allowed = set(sys.stdlib_module_names) | {'numpy', 'pcsmri'}\n"
+        "print(' '.join(sorted(new - allowed)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_phantom_command_writes_image_and_manifest(tmp_path, capsys):
     out = tmp_path / "ph"
     assert run_cli("phantom", "--size", 24, "--seed", 3, "--out", out) == 0
@@ -161,6 +178,29 @@ def test_sense_command_matches_library(tmp_path):
                    "--out", rough) == 0
     maps_rough, _ = load_array(rough, expect_kind="sens")
     assert not np.array_equal(maps, maps_rough)
+
+
+def test_sense_takes_the_acs_width_from_its_mask(tmp_path, capsys):
+    # the case's mask records a 12-line ACS; the default width is 24
+    case = small_case_dir(tmp_path, size="48", coils="3", acs="12")
+    from_mask, explicit = tmp_path / "from_mask", tmp_path / "explicit"
+    assert run_cli("sense", "--kspace", case / "kspace", "--mask", case / "mask",
+                   "--out", from_mask) == 0
+    assert run_cli("sense", "--kspace", case / "kspace", "--acs", 12,
+                   "--out", explicit) == 0
+    for suffix in ("", ".hdr"):
+        assert (Path(f"{from_mask}{suffix}").read_bytes()
+                == Path(f"{explicit}{suffix}").read_bytes())
+    # without a mask the width stays 24, and an explicit --acs wins over the mask
+    y, _ = load_array(case / "kspace")
+    assert run_cli("sense", "--kspace", case / "kspace", "--out", explicit) == 0
+    maps, _ = load_array(explicit, expect_kind="sens")
+    assert np.array_equal(maps, estimate_maps(y, 24).maps)
+    capsys.readouterr()
+    assert run_cli("sense", "--kspace", case / "kspace", "--mask", case / "mask",
+                   "--acs", 24, "--out", tmp_path / "wide") == 2
+    assert "not fully sampled" in capsys.readouterr().err
+    assert not (tmp_path / "wide").exists()
 
 
 def test_simulate_files_match_library_case(tmp_path):
@@ -276,6 +316,33 @@ def test_recon_out_creates_missing_directories(tmp_path):
     missing = tmp_path / "other" / "recon"
     assert run_cli("recon", "--case", tmp_path / "nope", "--out", missing) == 3
     assert not missing.parent.exists()
+
+
+def test_config_comments_and_blank_lines_are_ignored(tmp_path):
+    case = small_case_dir(tmp_path)
+    plain = write_config(tmp_path / "plain.cfg", {"iterations": "2"})
+    commented = tmp_path / "commented.cfg"
+    commented.write_text("# two rounds\n\n   \niterations = 2  # inline\n")
+    for name, config in (("plain", plain), ("commented", commented)):
+        assert run_cli("recon", "--case", case, "--config", config,
+                       "--out", tmp_path / name / "recon") == 0
+    assert (file_digest(tmp_path / "plain" / "recon")
+            == file_digest(tmp_path / "commented" / "recon"))
+    assert "iterations: 2\n" in (
+        tmp_path / "commented" / "recon_manifest.txt").read_text()
+
+
+def test_recon_rejects_kspace_on_unsampled_columns(tmp_path, capsys):
+    case = small_case_dir(tmp_path)
+    y, _ = load_array(case / "kspace")
+    mask = load_mask(case / "mask")
+    col = np.flatnonzero(~mask.line_selected)[0]
+    y[:, :, col] = 1.0
+    save_array(case / "kspace", y, kind="kspace")
+    assert run_cli("recon", "--case", case) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"unsampled column {col} " in err
+    assert not (case / "recon").exists()
 
 
 def test_recon_manifest_records_config_without_paths(tmp_path):
@@ -424,6 +491,8 @@ def test_config_and_usage_errors_exit_2(tmp_path, capsys):
         return err
 
     assert "unknown config keys: frobnicate" in expect_2("frobnicate = 1\n")
+    assert "alpha must be a number or comma-separated numbers" in expect_2(
+        "alpha = abc\n")
     assert "unknown prior kind" in expect_2("prior = curvelet\n")
     assert "duplicate key" in expect_2("alpha = 1\nalpha = 2\n")
     assert "expected 'key = value'" in expect_2("alpha\n")
@@ -581,6 +650,18 @@ def test_external_stub_failure_exits_5(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("external prior failed:")
     assert "denoiser exploded" in err
+
+
+def test_external_stub_timeout_exits_5(tmp_path, capsys):
+    case = small_case_dir(tmp_path)
+    cmd = make_stub(tmp_path, "slow_stub", "import time\ntime.sleep(5)\n")
+    config = write_config(tmp_path / "cfg", {
+        "prior": "external", "external_cmd": cmd, "iterations": "2",
+        "external_timeout": "0.3"})
+    assert main(["recon", "--case", str(case), "--config", str(config)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("external prior failed:")
+    assert "timed out after 0.3 s" in err
 
 
 def test_external_identity_cli_matches_tikhonov_lambda_zero(tmp_path):
@@ -786,6 +867,15 @@ def test_sweep_bad_combo_yields_nan_row_and_comment(tmp_path, capsys):
     best = [l for l in lines if l.startswith("# best:")]
     assert len(best) == 1
     assert "prior=tikhonov" in best[0]
+
+
+def test_sweep_without_ground_truth_exits_2(tmp_path, capsys):
+    case = small_case_dir(tmp_path)
+    (case / "gt").unlink()
+    grid = write_config(tmp_path / "grid", GRID_2X2)
+    assert run_cli("sweep", "--case", case, "--grid", grid) == 2
+    assert f"sweep needs {case / 'gt'} for scoring" in capsys.readouterr().err
+    assert not (case / "sweep").exists()
 
 
 def test_sweep_finds_interior_lambda_optimum(tmp_path, capsys):

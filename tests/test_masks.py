@@ -201,6 +201,18 @@ def test_mask_load_error_paths(tmp_path):
         load_mask(no_payload)
 
 
+@pytest.mark.parametrize("flag", [2, 7, 255])
+def test_mask_load_rejects_flag_bytes_other_than_0_or_1(tmp_path, flag):
+    path = tmp_path / "m"
+    save_mask(path, make_random_mask(8, 16, 2.0, 4, seed=0))
+    payload = bytearray(path.read_bytes())
+    payload[0] = flag  # line 0 lies outside the ACS band
+    path.write_bytes(bytes(payload))
+    with pytest.raises(ContainerError) as info:
+        load_mask(path)
+    assert f"{path} holds line flag {flag}, expected 0 or 1" in str(info.value)
+
+
 @settings(max_examples=40, deadline=None)
 @given(height=st.integers(1, 9),
        lines=st.lists(st.booleans(), min_size=1, max_size=40),

@@ -156,3 +156,9 @@ def test_evaluate_restricts_scalars_to_the_support():
     assert out["rmse"] == pytest.approx(rmse(rec[support], gt[support]))
     assert out["nmse"] == pytest.approx(nmse(rec[support], gt[support]))
     assert out["ssim"] == pytest.approx(ssim(rec, gt, support=support))
+
+
+def test_evaluate_rejects_a_support_of_the_wrong_shape():
+    rec, gt = _pair(35, shape=(26, 22))
+    with pytest.raises(ShapeError, match=r"support shape \(22, 26\)"):
+        evaluate(rec, gt, support=np.ones((22, 26), dtype=bool))

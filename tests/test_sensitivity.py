@@ -10,7 +10,6 @@ from pcsmri import (
     ShapeError,
     acs_band,
     estimate_maps,
-    extract_acs,
     fft2c,
     ifft2c,
     make_coil_profiles,
@@ -26,38 +25,27 @@ def _true_case(h=64, w=64, n_coils=4, acs=24):
     return phantom, sens, ksp, acs
 
 
-def test_extract_acs_keeps_only_central_block():
-    rng = np.random.default_rng(0)
-    ksp = rng.standard_normal((2, 16, 16)) + 1j * rng.standard_normal((2, 16, 16))
-    acs = extract_acs(ksp, 6)
-    np.testing.assert_array_equal(acs[:, 5:11, 5:11], ksp[:, 5:11, 5:11])
-    inner = np.zeros((16, 16), dtype=bool)
-    inner[5:11, 5:11] = True
-    assert np.all(acs[:, ~inner] == 0)
-    assert acs.shape == ksp.shape  # full grid, not a crop
-
-
-def test_extract_acs_validates_mask_and_width():
+def test_estimate_maps_validates_mask_and_width():
     rng = np.random.default_rng(1)
     ksp = rng.standard_normal((1, 16, 16)) + 1j * rng.standard_normal((1, 16, 16))
     good = make_random_mask(16, 16, 2.0, 6, seed=0)
-    extract_acs(ksp, 6, mask=good)
+    estimate_maps(ksp, 6, mask=good)
 
     lines = np.zeros(16, dtype=bool)
     lines[7:9] = True
     narrow = SamplingMask(16, 16, lines, 2, 8.0)
     with pytest.raises(EstimationError):
-        extract_acs(ksp, 6, mask=narrow)  # calibration columns unsampled
+        estimate_maps(ksp, 6, mask=narrow)  # calibration columns unsampled
 
     wrong_grid = make_random_mask(16, 12, 2.0, 6, seed=0)
     with pytest.raises(ShapeError):
-        extract_acs(ksp, 6, mask=wrong_grid)
+        estimate_maps(ksp, 6, mask=wrong_grid)
     with pytest.raises(ShapeError):
-        extract_acs(ksp, 0)
+        estimate_maps(ksp, 0)
     with pytest.raises(ShapeError):
-        extract_acs(ksp, 17)
+        estimate_maps(ksp, 17)
     with pytest.raises(ShapeError):
-        extract_acs(ksp[0], 6)
+        estimate_maps(ksp[0], 6)
 
 
 def test_estimated_maps_recover_smooth_profiles():
@@ -110,9 +98,10 @@ def test_estimate_maps_equals_the_full_grid_window_formula(dtype, apodize):
     rng = np.random.default_rng(4)
     ksp = (ksp + 0.01 * (rng.standard_normal(ksp.shape)
                          + 1j * rng.standard_normal(ksp.shape))).astype(dtype)
-    block = extract_acs(ksp, acs)
+    (r0, r1), (c0, c1) = acs_band(45, acs), acs_band(38, acs)
+    block = np.zeros_like(ksp)
+    block[:, r0:r1, c0:c1] = ksp[:, r0:r1, c0:c1]
     if apodize:
-        (r0, r1), (c0, c1) = acs_band(45, acs), acs_band(38, acs)
         win = np.zeros((45, 38))
         win[r0:r1, c0:c1] = np.outer(np.hanning(r1 - r0 + 2)[1:-1],
                                      np.hanning(c1 - c0 + 2)[1:-1])
@@ -122,14 +111,6 @@ def test_estimate_maps_equals_the_full_grid_window_formula(dtype, apodize):
     assert got.maps.dtype == want.maps.dtype
     np.testing.assert_array_equal(got.maps, want.maps)
     np.testing.assert_array_equal(got.support, want.support)
-
-
-def test_threshold_controls_support_size():
-    phantom, sens, ksp, acs = _true_case()
-    loose = estimate_maps(ksp, acs, threshold=1e-3)
-    tight = estimate_maps(ksp, acs, threshold=0.2)
-    assert tight.support.sum() < loose.support.sum()
-    assert (tight.support & ~loose.support).sum() == 0
 
 
 def test_empty_calibration_region_raises():

@@ -360,6 +360,27 @@ def test_empty_mask_raises_protocol_error():
         solve(np.zeros_like(y), sens, empty, cfg)
 
 
+def test_kspace_on_unsampled_columns_raises_protocol_error():
+    # fully sampled data with an undersampling mask: without the check the
+    # start would read bins that DC and the objective never see
+    gt, sens, y, mask = simulate_case(32, 32, n_coils=2, r=2.0, acs_width=8,
+                                      seed=7)
+    cfg = SolverConfig(prior=TikhonovPrior(), iterations=1)
+    full = SamplingMask(32, 32, np.ones(32, dtype=bool), 8, 1.0)
+    y_full = forward(gt, sens, full)
+    first = np.flatnonzero(~mask.line_selected)[0]
+    with pytest.raises(ProtocolError, match=f"unsampled column {first} "):
+        solve(y_full, sens, mask, cfg)
+    one = y.copy()
+    col = np.flatnonzero(~mask.line_selected)[-1]
+    one[1, 5, col] = 1e-30
+    with pytest.raises(ProtocolError, match=rf"column {col} \(1 such columns\)"):
+        solve(one, sens, mask, cfg)
+    # zeroing the unsampled columns, as the docs say, is accepted
+    x, _ = solve(np.where(mask.line_selected, y_full, 0), sens, mask, cfg)
+    assert np.all(np.isfinite(x))
+
+
 def test_divergence_error_names_the_failing_step(tmp_path):
     gt, sens, y, mask = simulate_case(32, 32, n_coils=2, r=2.0, acs_width=8,
                                       seed=8)
