@@ -135,21 +135,18 @@ def _build_solver_config(fields):
     prior = {"total_variation": tv, "external": external}.get(kind) or make_prior(kind)
     if "v" in fields and "v_map" in fields:
         raise ConfigError("v and v_map are exclusive; give one of them")
-    v = _parse_number(fields["v"], "v") if "v" in fields else 1.0
+    # an absent key takes the SolverConfig default; only lambda has a CLI one
+    given = {key: parse(fields[key], key) for key, parse in (
+        ("alpha", _parse_floats), ("beta", _parse_floats),
+        ("iterations", _parse_floats), ("record_history", _parse_bool),
+    ) if key in fields}
+    if "v" in fields:
+        given["dc_blend_v"] = _parse_number(fields["v"], "v")
     if "v_map" in fields:
-        v = load_image(fields["v_map"])[0]
+        given["dc_blend_v"] = load_image(fields["v_map"])[0]
     lam = fields.get("lambda")
     lam = DEFAULT_LAMBDA[kind] if lam is None else _parse_floats(lam, "lambda")
-    return SolverConfig(
-        prior=prior,
-        alpha=_parse_floats(fields.get("alpha", "1.0"), "alpha"),
-        beta=_parse_floats(fields.get("beta", "1.0"), "beta"),
-        lam=lam,
-        iterations=_parse_floats(fields.get("iterations", "3"), "iterations"),
-        dc_blend_v=v,
-        record_history=_parse_bool(fields.get("record_history", "false"),
-                                   "record_history"),
-    )
+    return SolverConfig(prior=prior, lam=lam, **given)
 
 
 def _write_manifest(path, command, pairs):
@@ -159,8 +156,10 @@ def _write_manifest(path, command, pairs):
 
 def _load_sens(path):
     maps, _ = load_array(path, expect_kind="sens")
-    support = np.sum(np.abs(maps) ** 2, axis=0) > 0.5
-    return SensitivitySet(np.where(support, maps, 0), support)
+    try:
+        return SensitivitySet(maps, np.sum(np.abs(maps) ** 2, axis=0) > 0.5)
+    except ConfigError as exc:
+        raise ContainerError(f"{path} holds invalid sensitivity maps: {exc}") from None
 
 
 def _save_sens(path, sens):

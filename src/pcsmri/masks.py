@@ -18,6 +18,7 @@ import numpy as np
 
 from .container import _read_header, _read_payload, _write_header
 from .errors import ConfigError, ContainerError, ShapeError
+from .priors import _check_count
 
 _MASK_MAGIC = "pcsmri-mask v1"
 _MASK_FIELDS = {"height": int, "width": int, "r": float, "acs_width": int,
@@ -25,11 +26,17 @@ _MASK_FIELDS = {"height": int, "width": int, "r": float, "acs_width": int,
 
 
 def acs_band(width, acs_width):
-    """Index range (start, stop) of the central ACS band."""
-    if acs_width < 0 or acs_width > width:
+    """Int (start, stop) of the central ACS band; acs_width is integral, 0 to width."""
+    acs_width = _check_count(acs_width, "acs_width", minimum=0)
+    if acs_width > width:
         raise ConfigError(f"acs_width {acs_width} out of range for width {width}")
     start = width // 2 - acs_width // 2
     return start, start + acs_width
+
+
+def _check_acceleration(r):
+    if not (math.isfinite(r) and r >= 1):
+        raise ConfigError(f"acceleration must be >= 1 and finite, got {r}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +67,10 @@ class SamplingMask:
         start, stop = acs_band(self.width, self.acs_width)
         if not lines[start:stop].all():
             raise ConfigError("ACS band is not fully selected")
+        _check_acceleration(self.acceleration)
         lines.setflags(write=False)
         object.__setattr__(self, "line_selected", lines)
+        object.__setattr__(self, "acs_width", stop - start)
 
     @property
     def n_selected(self):
@@ -73,19 +82,17 @@ class SamplingMask:
 
 
 def _check_budget(width, r, acs_width):
-    if not (math.isfinite(r) and r >= 1):
-        raise ConfigError(f"acceleration must be >= 1 and finite, got {r}")
+    start, stop = acs_band(width, acs_width)
+    _check_acceleration(r)
     budget = int(round(width / r))
     if budget < 1:
         raise ConfigError(f"line budget round({width}/{r}) = 0 selects no line")
-    if acs_width < 0:
-        raise ConfigError("acs_width must be >= 0")
-    if budget < acs_width:
+    if budget < stop - start:
         raise ConfigError(
             f"line budget round({width}/{r}) = {budget} is smaller than "
-            f"the {acs_width}-line ACS band"
+            f"the {stop - start}-line ACS band"
         )
-    return budget
+    return budget, start, stop
 
 
 def make_random_mask(height, width, r, acs_width, seed):
@@ -95,12 +102,11 @@ def make_random_mask(height, width, r, acs_width, seed):
     uniformly without replacement from the non-ACS lines. Deterministic
     for a given seed.
     """
-    budget = _check_budget(width, r, acs_width)
-    start, stop = acs_band(width, acs_width)
+    budget, start, stop = _check_budget(width, r, acs_width)
     lines = np.zeros(width, dtype=bool)
     lines[start:stop] = True
     candidates = np.flatnonzero(~lines)
-    n_extra = budget - acs_width
+    n_extra = budget - (stop - start)
     rng = np.random.default_rng(seed)
     if n_extra > 0:
         chosen = rng.choice(candidates, size=n_extra, replace=False)
@@ -116,7 +122,7 @@ def make_equispaced_mask(height, width, r, acs_width, seed):
     sampling ratio can exceed 1/r by up to acs_width / width after the
     ACS overlay.
     """
-    _check_budget(width, r, acs_width)
+    _, start, stop = _check_budget(width, r, acs_width)
     r_int = int(round(r))
     if abs(r - r_int) > 1e-12:
         raise ConfigError(f"equispaced masks need an integer acceleration, got {r}")
@@ -126,7 +132,6 @@ def make_equispaced_mask(height, width, r, acs_width, seed):
     stride_lines = (offset + r_int * np.arange(n_stride)) % width
     lines = np.zeros(width, dtype=bool)
     lines[stride_lines] = True
-    start, stop = acs_band(width, acs_width)
     lines[start:stop] = True
     return SamplingMask(
         height, width, lines, acs_width, float(r_int), "equispaced", seed
@@ -172,13 +177,16 @@ def save_mask(path, mask):
 
 
 def load_mask(path):
-    """Read a mask written by save_mask; a flag byte not 0 or 1 is an error."""
+    """Read a mask written by save_mask; a malformed file raises ContainerError."""
     height, width, r, acs_width, kind, seed = _read_header(
         path, _MASK_MAGIC, _MASK_FIELDS)
     flags = np.frombuffer(_read_payload(path, width), dtype=np.uint8)
     if np.any(flags > 1):
         raise ContainerError(f"{path} holds line flag {flags.max()}, expected 0 or 1")
-    return SamplingMask(height, width, flags, acs_width, r, kind, seed)
+    try:
+        return SamplingMask(height, width, flags, acs_width, r, kind, seed)
+    except (ConfigError, ShapeError) as exc:
+        raise ContainerError(f"{path} holds an invalid mask: {exc}") from None
 
 
 def mask_summary(mask):

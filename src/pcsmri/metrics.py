@@ -92,14 +92,13 @@ def ssim(rec, gt, support=None):
 
     Dynamic range is max(gt) - min(gt). When a support mask is given,
     only windows centered on support pixels contribute to the mean.
+    Identical images give exactly 1.0, as 2a = a + a in floating point.
     """
     rec, gt, support = _magnitude_pair(rec, gt, support)
     if min(gt.shape) < _SSIM_WINDOW:
         raise ShapeError(
             f"images must be at least {_SSIM_WINDOW} pixels per side, got {gt.shape}"
         )
-    if np.array_equal(rec, gt):
-        return 1.0
     span = float(gt.max() - gt.min())
     if span == 0:
         span = max(float(gt.max()), 1.0)

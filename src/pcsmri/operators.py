@@ -31,9 +31,9 @@ def _check_multicoil(y, name="k-space"):
 class SensitivitySet:
     """Normalized coil maps S_l with their common support region.
 
-    On support sum_l |S_l|^2 = 1 (to 1e-6); off support the maps are
-    exactly zero, and reconstructed images are defined as 0 there.
-    ``energy`` is that sum, sum_l |S_l|^2 per pixel (read-only).
+    The support is not empty, sum_l |S_l|^2 = 1 on it (to 1e-6, so no NaN)
+    and the maps are exactly zero off it, or ConfigError is raised. Images
+    are defined as 0 off support. ``energy`` is sum_l |S_l|^2 (read-only).
     """
 
     maps: np.ndarray
@@ -49,8 +49,8 @@ class SensitivitySet:
                 f"support shape {support.shape} does not match maps {maps.shape}"
             )
         energy = np.sum(np.abs(maps) ** 2, axis=0)
-        if support.any() and np.max(np.abs(energy[support] - 1.0)) > 1e-6:
-            raise ConfigError("maps are not normalized to unit RSS on support")
+        if not (support.any() and np.all(np.abs(energy[support] - 1.0) <= 1e-6)):
+            raise ConfigError("maps need unit RSS on a non-empty support")
         if np.any(maps[:, ~support] != 0):
             raise ConfigError("maps must be exactly zero off support")
         for arr in (maps, support, energy):
@@ -79,10 +79,7 @@ class SensitivitySet:
             profiles.astype(np.result_type(profiles, np.complex64), copy=False)
         )
         rss = rss_combine(profiles)
-        peak = rss.max()
-        if peak == 0:
-            raise ConfigError("all-zero coil profiles")
-        support = rss > SUPPORT_THRESHOLD * peak
+        support = rss > SUPPORT_THRESHOLD * rss.max()
         maps = np.where(support, profiles / np.where(support, rss, 1.0), 0)
         return cls(maps, support)
 

@@ -33,14 +33,14 @@ def _soft_threshold(x, threshold):
     return scale * x
 
 
-def _check_count(value, name):
-    """Return value as an int >= 1; integral floats such as 3.0 pass."""
+def _check_count(value, name, minimum=1):
+    """Return value as an int >= minimum; integral floats such as 3.0 pass."""
     try:
-        if int(value) == value and value >= 1:
+        if int(value) == value and value >= minimum:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ConfigError(f"{name} must be an integer >= 1, got {value}")
+    raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _check_weight(value, name, allow_zero=False):

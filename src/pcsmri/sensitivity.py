@@ -12,6 +12,7 @@ import numpy as np
 from .errors import EstimationError, ShapeError
 from .masks import acs_band
 from .operators import SensitivitySet, _check_multicoil
+from .priors import _check_count
 from .transforms import ifft2c
 
 
@@ -23,7 +24,8 @@ def estimate_maps(ksp, acs_width, mask=None, apodize=True):
     ksp : (coils, H, W) complex array
         Measured k-space; only the central ACS block is read.
     acs_width : int
-        Side length of that block, at most min(H, W).
+        Side length of that block, from 1 to min(H, W) (ShapeError). A
+        negative or non-integral width raises ConfigError; 12.0 counts as 12.
     mask : SamplingMask, optional
         When given, verifies the ACS columns are sampled.
     apodize : bool
@@ -32,6 +34,7 @@ def estimate_maps(ksp, acs_width, mask=None, apodize=True):
     """
     ksp = _check_multicoil(np.asarray(ksp))
     nc, h, w = ksp.shape
+    acs_width = _check_count(acs_width, "acs_width", minimum=0)
     if not 0 < acs_width <= min(h, w):
         raise ShapeError(
             f"acs_width {acs_width} out of range for grid ({h}, {w})"

@@ -1,4 +1,4 @@
-"""Centered unitary 2D Fourier transforms, l2 norm and inner product.
+"""Centered unitary 2D Fourier transforms and the l2 norm.
 
 Conventions used throughout the package:
 
@@ -102,10 +102,3 @@ def ifft2c(ksp, lines=None):
 
 def l2_norm(x):
     return float(np.linalg.norm(np.asarray(x).ravel()))
-
-
-def inner_product(a, b):
-    """<a, b> = sum conj(a) * b (conjugate-linear in the first argument)."""
-    if np.shape(a) != np.shape(b):
-        raise ShapeError(f"shape mismatch: {np.shape(a)} vs {np.shape(b)}")
-    return complex(np.vdot(a, b))

@@ -14,6 +14,17 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
+# inner product for the adjointness checks
+
+
+def inner_product(a, b):
+    """<a, b> = sum conj(a) * b (conjugate-linear in the first argument)."""
+    if np.shape(a) != np.shape(b):
+        raise ValueError(f"shape mismatch: {np.shape(a)} vs {np.shape(b)}")
+    return complex(np.vdot(a, b))
+
+
+# ---------------------------------------------------------------------------
 # dense centered DFT
 
 

@@ -20,6 +20,7 @@ from conftest import make_stub, random_complex
 from oracles import (
     dc_normal_equation_oracle,
     dense_forward_apply,
+    inner_product,
     nmse_scalar,
     psnr_scalar,
     rmse_scalar,
@@ -47,7 +48,7 @@ from pcsmri import (
 from pcsmri.cli import main
 from pcsmri.metrics import nmse, psnr, rmse, ssim
 from pcsmri.solver import dc_update, x_update
-from pcsmri.transforms import inner_product, l2_norm
+from pcsmri.transforms import l2_norm
 
 
 VERDICTS = []

@@ -5,6 +5,7 @@ captured output; one subprocess test checks the module entry point.
 """
 
 import hashlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 
 from conftest import FAIL_STUB, IDENTITY_STUB, NAN_STUB, make_stub
 from pcsmri import __version__
-from pcsmri.cli import main
+from pcsmri.cli import DEFAULT_LAMBDA, _build_solver_config, main
 from pcsmri.container import load_array, load_image, save_array, save_image
 from pcsmri.masks import PRESETS, load_mask, make_random_mask
 from pcsmri.metrics import evaluate, psnr
@@ -39,8 +40,7 @@ def load_case_like_cli(case):
     y, _ = load_array(case / "kspace", expect_kind="kspace")
     mask = load_mask(case / "mask")
     maps, _ = load_array(case / "sens", expect_kind="sens")
-    support = np.sum(np.abs(maps) ** 2, axis=0) > 0.5
-    sens = SensitivitySet(np.where(support, maps, 0), support)
+    sens = SensitivitySet(maps, np.sum(np.abs(maps) ** 2, axis=0) > 0.5)
     return y, sens, mask
 
 
@@ -373,6 +373,14 @@ def test_recon_without_config_uses_defaults(tmp_path):
     assert np.array_equal(rec, as_stored(ref))
 
 
+def test_an_empty_config_builds_the_solver_config_defaults():
+    # the CLI adds only its per-prior lambda to what SolverConfig defaults to
+    got = _build_solver_config({})
+    assert type(got.prior) is TikhonovPrior
+    want = SolverConfig(prior=got.prior, lam=DEFAULT_LAMBDA["tikhonov"])
+    assert got == want
+
+
 def test_recon_estimates_maps_when_asked_or_missing(tmp_path):
     case = small_case_dir(tmp_path, size="48", coils="3", acs="12")
     out_true = tmp_path / "a" / "recon"
@@ -628,6 +636,52 @@ def test_missing_inputs_exit_3(tmp_path, capsys):
                "--sens", str(tmp_path / "no_sens")])
     assert rc == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("acs_width", "999"), ("height", "0"), ("acs_width", "32"), ("r", "nan"),
+], ids=["acs-out-of-range", "zero-height", "acs-band-unselected", "nan-r"])
+def test_recon_on_a_malformed_mask_exits_3_and_names_it(tmp_path, capsys,
+                                                         field, value):
+    case = small_case_dir(tmp_path)  # 32 lines, R=2: 16 sampled, 8 of them ACS
+    header = case / "mask.hdr"
+    header.write_text(re.sub(rf"^{field}: .*$", f"{field}: {value}",
+                             header.read_text(), flags=re.M))
+    capsys.readouterr()
+    assert run_cli("recon", "--case", case) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and str(case / "mask") in err
+    assert not (case / "recon").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, 0.1], ids=["nan", "stray"])
+def test_a_sens_file_with_an_invalid_pixel_exits_3(tmp_path, capsys, value):
+    # nothing cleans a stored map set: the pixel is not dropped from the support
+    case = small_case_dir(tmp_path)
+    maps, _ = load_array(case / "sens", expect_kind="sens")
+    maps[:, 16, 16] = value
+    save_array(case / "sens", maps, kind="sens", dtype="<c16")
+    save_image(tmp_path / "rec", np.ones((32, 32)), kind="recon")
+    capsys.readouterr()
+    assert run_cli("recon", "--case", case) == 3
+    assert run_cli("eval", "--recon", tmp_path / "rec", "--gt", case / "gt",
+                   "--sens", case / "sens") == 3
+    for err in capsys.readouterr().err.splitlines():
+        assert err.startswith("i/o error:") and str(case / "sens") in err
+    assert not (case / "recon").exists()
+
+
+def test_sense_with_nan_in_the_acs_block_exits_2(tmp_path, capsys):
+    case = small_case_dir(tmp_path)
+    y, _ = load_array(case / "kspace", expect_kind="kspace")
+    y[0, 16, 16] = np.nan
+    save_array(case / "kspace", y, kind="kspace")
+    out = tmp_path / "maps"
+    capsys.readouterr()
+    assert run_cli("sense", "--kspace", case / "kspace", "--mask", case / "mask",
+                   "--out", out) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists() and not Path(f"{out}.hdr").exists()
 
 
 def test_external_stub_nan_output_exits_4(tmp_path, capsys):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_complex
+from oracles import inner_product
 from pcsmri import (
     SamplingMask,
     SensitivitySet,
@@ -27,7 +28,7 @@ from pcsmri import (
     zero_filled,
 )
 from pcsmri.solver import objective
-from pcsmri.transforms import inner_product, l2_norm
+from pcsmri.transforms import l2_norm
 
 PRIOR = TikhonovPrior()
 

@@ -1,5 +1,6 @@
 """Cartesian line masks: budgets, ACS handling, presets and mask I/O."""
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -131,6 +132,10 @@ def test_mask_dataclass_validates_and_freezes():
         SamplingMask(8, 16, np.zeros(15, dtype=bool), 0, 4.0)
     with pytest.raises(ShapeError):
         SamplingMask(0, 16, lines, 4, 4.0)
+    # so save_mask never writes an acceleration that load_mask rejects
+    for r in (float("nan"), float("inf"), 0.5):
+        with pytest.raises(ConfigError):
+            SamplingMask(8, 16, lines, 4, r)
 
 
 def test_mask_round_trips_through_disk(tmp_path):
@@ -199,6 +204,42 @@ def test_mask_load_error_paths(tmp_path):
     no_payload.unlink()
     with pytest.raises(ContainerError, match="missing payload"):
         load_mask(no_payload)
+
+
+@pytest.mark.parametrize("make", [make_random_mask, make_equispaced_mask])
+def test_an_integral_float_acs_width_counts_as_an_int(tmp_path, make):
+    mask = make(32, 64, 4.0, 12.0, seed=3)
+    want = make(32, 64, 4.0, 12, seed=3)
+    np.testing.assert_array_equal(mask.line_selected, want.line_selected)
+    assert type(mask.acs_width) is int and mask.acs_width == 12
+    save_mask(tmp_path / "m", mask)
+    assert "acs_width: 12\n" in (tmp_path / "m.hdr").read_text()
+    assert load_mask(tmp_path / "m").acs_width == 12
+
+
+@pytest.mark.parametrize("acs", [12.5, float("nan"), "12"])
+def test_a_non_integral_acs_width_is_a_config_error(acs):
+    with pytest.raises(ConfigError):
+        acs_band(64, acs)
+    for make in (make_random_mask, make_equispaced_mask):
+        with pytest.raises(ConfigError):
+            make(32, 64, 4.0, acs, seed=3)
+    with pytest.raises(ConfigError):
+        SamplingMask(32, 64, np.ones(64, dtype=bool), acs, 1.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("acs_width", "999"), ("height", "0"), ("acs_width", "16"), ("r", "nan"),
+    ("r", "0.5"),
+])
+def test_mask_load_names_the_file_of_a_mask_it_rejects(tmp_path, field, value):
+    path = tmp_path / "m"
+    save_mask(path, make_random_mask(8, 16, 2.0, 4, seed=0))
+    header = tmp_path / "m.hdr"
+    header.write_text(re.sub(rf"^{field}: .*$", f"{field}: {value}",
+                             header.read_text(), flags=re.M))
+    with pytest.raises(ContainerError, match=re.escape(str(path))):
+        load_mask(path)
 
 
 @pytest.mark.parametrize("flag", [2, 7, 255])

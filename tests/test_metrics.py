@@ -105,6 +105,24 @@ def test_separable_window_equals_the_2d_outer_product(h, w, seed):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+@settings(max_examples=80, deadline=None)
+@given(h=st.integers(11, 48), w=st.integers(11, 48),
+       log_scale=st.floats(-8.0, 8.0), constant=st.booleans(),
+       support_density=st.one_of(st.none(), st.floats(0.05, 1.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_ssim_of_an_image_with_itself_is_exactly_one(
+        h, w, log_scale, constant, support_density, seed):
+    # no fast path for identical inputs: the general formula must give 1.0
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    img = np.full((h, w), scale) if constant else scale * random_complex(rng, (h, w))
+    support = None
+    if support_density is not None:
+        support = rng.uniform(size=(h, w)) < support_density
+        support[h // 2, w // 2] = True  # keep one valid window center
+    assert ssim(img, img, support=support) == 1.0
+
+
 def test_ssim_support_restricts_window_centers():
     rec, gt = _pair(30, shape=(26, 22))
     support = np.zeros((26, 22), dtype=bool)

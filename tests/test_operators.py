@@ -148,6 +148,22 @@ def test_sensitivity_set_rejects_bad_maps():
         SensitivitySet.from_profiles(np.zeros((2, 4, 4)))
 
 
+def test_sensitivity_set_rejects_nan_and_an_empty_support():
+    good = np.full((2, 4, 4), np.sqrt(0.5), dtype=complex)
+    support = np.ones((4, 4), dtype=bool)
+    nan = good.copy()
+    nan[1, 2, 3] = np.nan
+    with pytest.raises(ConfigError):
+        SensitivitySet(nan, support)  # NaN on the support
+    with pytest.raises(ConfigError):
+        SensitivitySet(np.zeros((2, 4, 4)), np.zeros((4, 4), dtype=bool))
+    profiles = make_coil_profiles(8, 8, 2, rng_seed=1)
+    profiles[0, 3, 3] = np.nan
+    for bad in (np.zeros((2, 8, 8)), np.full((2, 8, 8), np.nan), profiles):
+        with pytest.raises(ConfigError):
+            SensitivitySet.from_profiles(bad)
+
+
 def test_support_threshold_trims_low_signal():
     profiles = np.zeros((1, 4, 4), dtype=complex)
     profiles[0] = 1.0

@@ -182,3 +182,14 @@ def test_simulated_coils_leave_no_dead_zones():
     # covers the full grid and no object pixel is invisible
     assert sens.support.all()
     assert rss_combine(np.abs(sens.maps)).min() > 0.99
+
+
+def test_simulate_case_takes_an_integral_float_acs_width():
+    got = simulate_case(32, 48, n_coils=2, r=3.0, acs_width=12.0, seed=4)
+    want = simulate_case(32, 48, n_coils=2, r=3.0, acs_width=12, seed=4)
+    np.testing.assert_array_equal(got[2], want[2])
+    np.testing.assert_array_equal(got[3].line_selected, want[3].line_selected)
+    assert type(got[3].acs_width) is int and got[3].acs_width == 12
+    for bad in (12.5, float("nan"), "12"):
+        with pytest.raises(ConfigError):
+            simulate_case(32, 48, n_coils=2, r=3.0, acs_width=bad, seed=4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pcsmri import (
+    ConfigError,
     EstimationError,
     SamplingMask,
     SensitivitySet,
@@ -111,6 +112,15 @@ def test_estimate_maps_equals_the_full_grid_window_formula(dtype, apodize):
     assert got.maps.dtype == want.maps.dtype
     np.testing.assert_array_equal(got.maps, want.maps)
     np.testing.assert_array_equal(got.support, want.support)
+
+
+def test_estimate_maps_acs_width_is_integral():
+    _, _, ksp, acs = _true_case()
+    want = estimate_maps(ksp, acs)
+    np.testing.assert_array_equal(estimate_maps(ksp, float(acs)).maps, want.maps)
+    for bad in (acs + 0.5, float("nan"), str(acs)):
+        with pytest.raises(ConfigError):
+            estimate_maps(ksp, bad)
 
 
 def test_empty_calibration_region_raises():
