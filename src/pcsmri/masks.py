@@ -43,7 +43,7 @@ def _check_acceleration(r):
 class SamplingMask:
     """Binary selection of phase-encode lines (columns) of an H x W grid.
 
-    ``line_selected`` holds one flag per column; ``forward``, ``adjoint``
+    ``line_selected`` holds one 0/1 flag per column; ``forward``, ``adjoint``
     and the DC step transform only the flagged columns, so U^H U is never
     applied on the full grid. Instances are immutable and safe to share.
     """
@@ -57,11 +57,15 @@ class SamplingMask:
     seed: int | None = None
 
     def __post_init__(self):
-        lines = np.asarray(self.line_selected, dtype=bool).copy()
+        lines = np.asarray(self.line_selected)
         if lines.shape != (self.width,):
             raise ShapeError(
                 f"line_selected has shape {lines.shape}, expected ({self.width},)"
             )
+        bad = lines[(lines != 0) & (lines != 1)]
+        if bad.size:
+            raise ConfigError(f"line flag {bad[0]}, expected 0 or 1")
+        lines = lines.astype(bool)
         if self.height <= 0 or self.width <= 0:
             raise ShapeError("mask dimensions must be positive")
         start, stop = acs_band(self.width, self.acs_width)
@@ -181,8 +185,6 @@ def load_mask(path):
     height, width, r, acs_width, kind, seed = _read_header(
         path, _MASK_MAGIC, _MASK_FIELDS)
     flags = np.frombuffer(_read_payload(path, width), dtype=np.uint8)
-    if np.any(flags > 1):
-        raise ContainerError(f"{path} holds line flag {flags.max()}, expected 0 or 1")
     try:
         return SamplingMask(height, width, flags, acs_width, r, kind, seed)
     except (ConfigError, ShapeError) as exc:

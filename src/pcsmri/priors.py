@@ -23,7 +23,7 @@ import numpy as np
 from .container import load_image, save_image
 from .errors import ConfigError, PriorExecutionError, ShapeError
 
-_SQRT2 = np.sqrt(2.0)
+_HALF = np.float64(0.5)  # float64, so single-precision Haar input comes back as double
 
 
 def _soft_threshold(x, threshold):
@@ -109,35 +109,31 @@ class SoftThresholdPrior(Prior):
         return float(np.sum(np.abs(z)))
 
 
+def _block_sums(p, q, r, s):
+    """Bands (ll, lh, hl, hh) of the 2x2 blocks [[p, q], [r, s]]; its own inverse."""
+    left_sum = (p + r) * _HALF
+    right_sum = (q + s) * _HALF
+    left_diff = (p - r) * _HALF
+    right_diff = (q - s) * _HALF
+    return (left_sum + right_sum, left_sum - right_sum,
+            left_diff + right_diff, left_diff - right_diff)
+
+
 def haar2_forward(x):
     """Single-level orthonormal 2D Haar split into (ll, lh, hl, hh) bands."""
     x = np.asarray(x)
-    if x.ndim != 2:
-        raise ShapeError(f"expected a 2D image, got shape {x.shape}")
-    h, w = x.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"Haar transform needs even dimensions, got ({h}, {w})")
-    lo = (x[0::2, :] + x[1::2, :]) / _SQRT2
-    hi = (x[0::2, :] - x[1::2, :]) / _SQRT2
-    ll = (lo[:, 0::2] + lo[:, 1::2]) / _SQRT2
-    lh = (lo[:, 0::2] - lo[:, 1::2]) / _SQRT2
-    hl = (hi[:, 0::2] + hi[:, 1::2]) / _SQRT2
-    hh = (hi[:, 0::2] - hi[:, 1::2]) / _SQRT2
-    return ll, lh, hl, hh
+    if x.ndim != 2 or x.shape[0] % 2 or x.shape[1] % 2:
+        raise ShapeError(f"Haar needs a 2D image of even dimensions, got {x.shape}")
+    return _block_sums(x[0::2, 0::2], x[0::2, 1::2], x[1::2, 0::2], x[1::2, 1::2])
 
 
 def haar2_inverse(ll, lh, hl, hh):
-    """Inverse of haar2_forward."""
-    hh2, wh2 = np.asarray(ll).shape
-    lo = np.empty((hh2, 2 * wh2), dtype=np.result_type(ll, lh, hl, hh))
-    hi = np.empty_like(lo)
-    lo[:, 0::2] = (ll + lh) / _SQRT2
-    lo[:, 1::2] = (ll - lh) / _SQRT2
-    hi[:, 0::2] = (hl + hh) / _SQRT2
-    hi[:, 1::2] = (hl - hh) / _SQRT2
-    x = np.empty((2 * hh2, 2 * wh2), dtype=lo.dtype)
-    x[0::2, :] = (lo + hi) / _SQRT2
-    x[1::2, :] = (lo - hi) / _SQRT2
+    """Inverse of haar2_forward, in the bands' common dtype."""
+    h2, w2 = np.shape(ll)
+    x = np.empty((2 * h2, 2 * w2), dtype=np.result_type(ll, lh, hl, hh))
+    blocks = x[0::2, 0::2], x[0::2, 1::2], x[1::2, 0::2], x[1::2, 1::2]
+    for block, values in zip(blocks, _block_sums(ll, lh, hl, hh)):
+        block[...] = values
     return x
 
 

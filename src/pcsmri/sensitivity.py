@@ -22,7 +22,7 @@ def estimate_maps(ksp, acs_width, mask=None, apodize=True):
     Parameters
     ----------
     ksp : (coils, H, W) complex array
-        Measured k-space; only the central ACS block is read.
+        Measured k-space; only the central ACS block is read, and it must be finite.
     acs_width : int
         Side length of that block, from 1 to min(H, W) (ShapeError). A
         negative or non-integral width raises ConfigError; 12.0 counts as 12.
@@ -50,6 +50,9 @@ def estimate_maps(ksp, acs_width, mask=None, apodize=True):
                 "calibration region is not fully sampled by the mask"
             )
     block = ksp[:, rows, cols]
+    bad = block[~np.isfinite(block)]
+    if bad.size:
+        raise EstimationError(f"calibration region holds non-finite value {bad[0]}")
     if apodize:
         hann = np.hanning(acs_width + 2)[1:-1]
         # window in float64 precision: complex64 k-space becomes complex128

@@ -684,6 +684,24 @@ def test_sense_with_nan_in_the_acs_block_exits_2(tmp_path, capsys):
     assert not out.exists() and not Path(f"{out}.hdr").exists()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_acs_data_exits_2_naming_the_calibration_region(tmp_path, capsys,
+                                                                    value):
+    case = small_case_dir(tmp_path)
+    y, _ = load_array(case / "kspace", expect_kind="kspace")
+    y[1, 16, 16] = value
+    save_array(case / "kspace", y, kind="kspace")
+    out = tmp_path / "maps"
+    capsys.readouterr()
+    assert run_cli("sense", "--kspace", case / "kspace", "--mask", case / "mask",
+                   "--out", out) == 2
+    assert run_cli("recon", "--case", case, "--estimate-sens") == 2
+    for err in capsys.readouterr().err.splitlines():
+        assert err.startswith("error: calibration region") and "non-finite" in err
+    assert not out.exists() and not Path(f"{out}.hdr").exists()
+    assert not (case / "recon").exists() and not (case / "objective.log").exists()
+
+
 def test_external_stub_nan_output_exits_4(tmp_path, capsys):
     case = small_case_dir(tmp_path)
     cmd = make_stub(tmp_path, "nan_stub", NAN_STUB)

@@ -251,7 +251,28 @@ def test_mask_load_rejects_flag_bytes_other_than_0_or_1(tmp_path, flag):
     path.write_bytes(bytes(payload))
     with pytest.raises(ContainerError) as info:
         load_mask(path)
-    assert f"{path} holds line flag {flag}, expected 0 or 1" in str(info.value)
+    assert (f"{path} holds an invalid mask: line flag {flag}, expected 0 or 1"
+            in str(info.value))
+
+
+@pytest.mark.parametrize("flag", [2, 7, 0.5, -1, np.nan, np.inf],
+                         ids=["2", "7", "half", "minus-1", "nan", "inf"])
+def test_mask_rejects_line_flags_other_than_0_or_1(flag):
+    lines = np.array([0, 1, 1, 0], dtype=float)
+    lines[3] = flag  # outside the 2-line ACS band
+    with pytest.raises(ConfigError, match=re.escape(f"line flag {lines[3]}, "
+                                                    "expected 0 or 1")):
+        SamplingMask(4, 4, lines, 2, 1.0)
+    if float(flag).is_integer():
+        with pytest.raises(ConfigError, match="0 or 1"):
+            SamplingMask(4, 4, lines.astype(np.int64), 2, 1.0)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float64])
+def test_mask_accepts_0_and_1_flags_of_any_numeric_dtype(dtype):
+    mask = SamplingMask(4, 4, np.array([0, 1, 1, 0], dtype=dtype), 2, 1.0)
+    assert mask.line_selected.dtype == bool
+    assert mask.line_selected.tolist() == [False, True, True, False]
 
 
 @settings(max_examples=40, deadline=None)

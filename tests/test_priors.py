@@ -157,6 +157,43 @@ def test_haar_bands_match_block_sums():
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 24), st.integers(1, 24),
+       st.sampled_from([np.float32, np.complex64, np.float64, np.complex128]),
+       st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
+def test_haar_pair_property(hh, wh, dtype, scale, seed):
+    rng = np.random.default_rng(seed)
+    shape = (2 * hh, 2 * wh)
+    if np.issubdtype(dtype, np.complexfloating):
+        x = (scale * random_complex(rng, shape)).astype(dtype)
+    else:
+        x = (scale * rng.standard_normal(shape)).astype(dtype)
+    # single-precision input is summed pairwise in its own precision before
+    # the bands are formed in double, so it is held to its own epsilon
+    double_tol = 1e-12 * np.abs(x).max()
+    single = np.finfo(dtype).dtype == np.float32
+    tol = 8 * np.finfo(np.float32).eps * np.abs(x).max() if single else double_tol
+    double = np.result_type(dtype, np.float64)
+    bands = haar2_forward(x)
+    for got, want in zip(bands, haar_bands_scalar(x.astype(double))):
+        assert got.dtype == double and got.shape == (hh, wh)
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+    back = haar2_inverse(*bands)
+    assert back.dtype == double
+    np.testing.assert_allclose(back, x, rtol=0, atol=tol)
+    # the inverse keeps the bands' common dtype, single precision included
+    assert haar2_inverse(*(b.astype(dtype) for b in bands)).dtype == dtype
+    # a real approximation band with complex details gives a complex image
+    ll, lh, hl, hh_band = haar2_forward(x.astype(np.complex128))
+    mixed = haar2_inverse(ll.real, lh, hl, hh_band)
+    assert mixed.dtype == np.complex128
+    for got, want in zip(haar2_forward(mixed), (ll.real, lh, hl, hh_band)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=double_tol)
+    for odd in ((2 * hh + 1, 2 * wh), (2 * hh, 2 * wh - 1)):
+        with pytest.raises(ShapeError):
+            haar2_forward(np.zeros(odd, dtype=dtype))
+
+
 def test_haar_requires_even_dimensions():
     with pytest.raises(ShapeError):
         haar2_forward(np.zeros((5, 8)))

@@ -126,3 +126,17 @@ def test_estimate_maps_acs_width_is_integral():
 def test_empty_calibration_region_raises():
     with pytest.raises(EstimationError):
         estimate_maps(np.zeros((2, 32, 32), dtype=complex), 8)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)],
+                         ids=["nan", "inf", "imaginary-inf"])
+def test_non_finite_calibration_data_raises(value):
+    # the window and the RSS normalization would turn it into NaN maps
+    _, _, ksp, acs = _true_case()
+    ksp = ksp.copy()
+    ksp[1, 32, 32] = value  # the centre of the ACS block
+    with pytest.raises(EstimationError, match="calibration region.*non-finite"):
+        estimate_maps(ksp, acs)
+    ksp[1, 32, 32] = 0.0
+    ksp[1, 0, 0] = value  # outside the block: never read
+    estimate_maps(ksp, acs)
