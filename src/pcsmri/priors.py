@@ -23,8 +23,6 @@ import numpy as np
 from .container import load_image, save_image
 from .errors import ConfigError, PriorExecutionError, ShapeError
 
-_HALF = np.float64(0.5)  # float64, so single-precision Haar input comes back as double
-
 
 def _soft_threshold(x, threshold):
     """Complex magnitude shrinkage: shrink |x| by threshold, keep phase."""
@@ -111,19 +109,24 @@ class SoftThresholdPrior(Prior):
 
 def _block_sums(p, q, r, s):
     """Bands (ll, lh, hl, hh) of the 2x2 blocks [[p, q], [r, s]]; its own inverse."""
-    left_sum = (p + r) * _HALF
-    right_sum = (q + s) * _HALF
-    left_diff = (p - r) * _HALF
-    right_diff = (q - s) * _HALF
+    left_sum = (p + r) * 0.5
+    right_sum = (q + s) * 0.5
+    left_diff = (p - r) * 0.5
+    right_diff = (q - s) * 0.5
     return (left_sum + right_sum, left_sum - right_sum,
             left_diff + right_diff, left_diff - right_diff)
 
 
 def haar2_forward(x):
-    """Single-level orthonormal 2D Haar split into (ll, lh, hl, hh) bands."""
+    """Single-level orthonormal 2D Haar split into (ll, lh, hl, hh) bands.
+
+    Single-precision and integer input is promoted to float64 or complex128
+    before any sum, so the bands carry double-precision rounding only.
+    """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] % 2 or x.shape[1] % 2:
         raise ShapeError(f"Haar needs a 2D image of even dimensions, got {x.shape}")
+    x = x.astype(np.result_type(x, np.float64), copy=False)
     return _block_sums(x[0::2, 0::2], x[0::2, 1::2], x[1::2, 0::2], x[1::2, 1::2])
 
 

@@ -20,8 +20,23 @@ long as alpha, beta and lam stay constant.
 m_l lives in image domain. The DC step only transforms the sampled
 columns: m_l = S_l x + F^H U^H (k_new - k), a correction on the sampled
 lines added to the unchanged S_l x, so no full 2D transform of the coil
-stack is made. The sampled columns k_new that it wrote are carried into
-the objective instead of transforming m again.
+stack is made.
+
+``solve`` checks y, the mask and the blend once, at entry, and gathers
+the measured sampled columns there. For t >= 1 it takes the objective
+from what the blocks already hold, with no pass over the coil stack.
+With r = k_new - y on the sampled bins the DC change is
+k_new - k = -(w/alpha) r, and x_update's closed form gives
+sum_l S_l^H m_l = ((beta + alpha E) x_t - beta z_t)/alpha with
+E = sum_l |S_l|^2. With d = x_{t-1} - x_t,
+
+    sum_l ||m_l - S_l x_t||^2 = <E d, d> + ||k_new - k||^2
+                                + 2 Re<d, sum_l S_l^H m_l - E x_{t-1}>
+                              = ||k_new - k||^2 - <E d, d>
+                                + (2 beta/alpha) Re<d, x_t - z_t>.
+
+So the previous m is released before each DC step. ``objective``
+evaluates the same F directly, from state.m.
 """
 
 from dataclasses import dataclass, field
@@ -114,25 +129,34 @@ class SolverState:
     x_history: list = field(default_factory=list)
 
 
-def _data_term(sens, mask, y, alpha, v, k_dc=None):
-    """Checked alpha and k_dc; w = v*alpha/(alpha + 1 - v) and y on sampled bins.
+@dataclass(frozen=True)
+class _Data:
+    """y on the sampled columns s and the checked blend v, gathered once.
 
-    w is a float64 scalar for a scalar v and (H, n_selected) for a v_map,
-    so both promote complex64 data alike; it broadcasts against the
-    (Nc, H, n_selected) sampled bins.
+    v is a 0-d float64 array, or the (H, n_selected) columns of a v_map, so
+    w promotes complex64 data alike in both cases and broadcasts against
+    the (Nc, H, n_selected) sampled bins.
     """
-    alpha = _check_weight(alpha, "alpha")
+
+    s: np.ndarray
+    y_s: np.ndarray
+    v: object
+
+    def weight(self, alpha):
+        """w = v*alpha/(alpha + 1 - v) for a checked alpha."""
+        return self.v * alpha / (alpha + (1.0 - self.v))
+
+
+def _gather(y, sens, mask, v):
+    """The checked blend and a contiguous y[..., s] for mask.line_selected s."""
     v = np.asarray(_check_blend(v))
     _check_geometry(sens, mask, coils=y, blend=v)
     s = mask.line_selected
-    v = v if v.ndim == 0 else v[:, s]
-    y_s = y[..., s]
-    if k_dc is not None and (k_dc.shape != y_s.shape or k_dc.dtype != np.complex128):
-        raise ShapeError(f"k_dc must be complex128 of shape {y_s.shape}")
-    return alpha, v * alpha / (alpha + (1.0 - v)), y_s
+    y_s = np.ascontiguousarray(np.asarray(y)[..., s])
+    return _Data(s, y_s, v if v.ndim == 0 else v[:, s])
 
 
-def dc_update(x_prev, y, sens, mask, alpha, v=1.0, k_dc=None):
+def dc_update(x_prev, y, sens, mask, alpha, v=1.0, k_dc=None, *, data=None):
     """Per-coil data-consistency step, solved bin by bin in k-space.
 
     With k = fft2c(S_l * x_prev) on the sampled columns, each sampled bin
@@ -142,15 +166,21 @@ def dc_update(x_prev, y, sens, mask, alpha, v=1.0, k_dc=None):
     consistency); unsampled bins keep k. Returns per-coil images
     S_l * x_prev plus the inverse transform of that change on the sampled
     columns; the new sampled bins are computed into ``k_dc``, a
-    caller-owned buffer, if given.
+    caller-owned buffer, if given. ``data`` is the record ``solve``
+    gathers once from (y, mask, v); without it they are checked here.
     """
-    alpha, w, y_s = _data_term(sens, mask, y, alpha, v, k_dc)
+    if data is None:
+        data = _gather(y, sens, mask, v)
+    alpha = _check_weight(alpha, "alpha")
+    if k_dc is not None and (k_dc.shape != data.y_s.shape
+                             or k_dc.dtype != np.complex128):
+        raise ShapeError(f"k_dc must be complex128 of shape {data.y_s.shape}")
     _check_geometry(sens, image=x_prev)
-    s = mask.line_selected
+    w = data.weight(alpha)
     coil_images = sens.maps * x_prev
-    k = fft2c(coil_images, s)
-    k_new = np.divide(w * y_s + alpha * k, w + alpha, out=k_dc)
-    m = ifft2c(np.subtract(k_new, k, out=k), s)
+    k = fft2c(coil_images, data.s)
+    k_new = np.divide(w * data.y_s + alpha * k, w + alpha, out=k_dc)
+    m = ifft2c(np.subtract(k_new, k, out=k), data.s)
     m += coil_images
     return m
 
@@ -163,29 +193,50 @@ def x_update(z, m, sens, alpha, beta):
     """
     alpha, beta = _check_weight(alpha, "alpha"), _check_weight(beta, "beta")
     _check_geometry(sens, image=z, coils=m, name="coil images")
-    num = beta * np.asarray(z) + alpha * np.sum(np.conj(sens.maps) * m, axis=0)
+    sh_m = np.conj(sens.maps)
+    sh_m *= m  # in place: one coil-stack temporary, not two
+    num = beta * np.asarray(z) + alpha * np.sum(sh_m, axis=0)
     return num / (beta + alpha * sens.energy)
 
 
-def objective(state, y, sens, mask, alpha, beta, lam, prior, v=1.0, k_dc=None):
+def objective(state, y, sens, mask, alpha, beta, lam, prior, v=1.0):
     """Evaluate the full penalized objective at the state's iterates.
 
     Sampled bins of the data term carry the weight w = v*alpha/(alpha +
     1 - v) for the DC blend v (1 for exact consistency). For the external
     prior R is unknown; the value is reported without the lam*R term
-    (state.objective_includes_prior records this). The sampled bins of
-    fft2c(state.m) are read from ``k_dc``, as dc_update wrote them, if given.
+    (state.objective_includes_prior records this).
     """
-    alpha, w, y_s = _data_term(sens, mask, y, alpha, v, k_dc)
+    data = _gather(y, sens, mask, v)
+    alpha = _check_weight(alpha, "alpha")
     beta, lam = _check_weight(beta, "beta"), _check_weight(lam, "lambda", True)
     _check_geometry(sens, image=state.x)
     _check_geometry(sens, image=state.z, coils=state.m, name="coil images")
-    k = fft2c(state.m, mask.line_selected) if k_dc is None else k_dc
-    residual = (k - y_s) * np.sqrt(w)
+    residual = (fft2c(state.m, data.s) - data.y_s) * np.sqrt(data.weight(alpha))
     total = (0.5 * l2_norm(residual) ** 2
              + 0.5 * alpha * l2_norm(state.m - sens.maps * state.x) ** 2
              + 0.5 * beta * l2_norm(state.z - state.x) ** 2)
     r = prior.value(state.z)
+    return total if r is None else total + lam * r
+
+
+def _objective_from_blocks(data, sens, x_prev, x, z, k_dc, alpha, beta, lam,
+                           prior):
+    """``objective`` after a solve iteration, without the coil stack m.
+
+    x_prev is the x the DC step read, k_dc the sampled bins it wrote, and
+    (z, x) the iteration's prox and x update; see the module docstring.
+    """
+    w = data.weight(alpha)
+    r2 = np.sum(np.abs(k_dc - data.y_s) ** 2, axis=0)
+    delta = x_prev - x
+    tie = x - z
+    coupling = (np.sum((w / alpha) ** 2 * r2)
+                - np.vdot(sens.energy * delta, delta).real
+                + 2.0 * beta / alpha * np.vdot(delta, tie).real)
+    total = float(0.5 * np.sum(w * r2) + 0.5 * alpha * coupling
+                  + 0.5 * beta * np.vdot(tie, tie).real)
+    r = prior.value(z)
     return total if r is None else total + lam * r
 
 
@@ -206,39 +257,54 @@ def solve(y, sens, mask, config):
     and inner-solver warnings. The prior's ``dual`` and the DC ``k_dc``
     buffers belong to this solve: TV warm-starts from the previous dual.
     y must be zero on the columns the mask did not sample, as ``forward``
-    leaves it; ProtocolError names the first column where it is not.
+    leaves it, and finite on the sampled ones; ProtocolError names the
+    first column or bin where it is not.
     """
-    _check_geometry(sens, mask, coils=y, blend=config.dc_blend_v)
+    data = _gather(y, sens, mask, config.dc_blend_v)
     if mask.n_selected == 0:
         raise ProtocolError("mask selects no lines; nothing was measured")
-    stray = np.flatnonzero(~mask.line_selected & np.any(y, axis=(0, 1)))
+    stray = np.flatnonzero(~data.s & np.any(y, axis=(0, 1)))
     if stray.size:
         raise ProtocolError(f"k-space is nonzero on unsampled column {stray[0]} "
                             f"({stray.size} such columns); zero them first")
+    bad = np.argwhere(~np.isfinite(data.y_s))
+    if bad.size:
+        coil, row, j = bad[0]
+        raise ProtocolError(
+            f"k-space is not finite at sampled bin (coil {coil}, row {row}, "
+            f"column {np.flatnonzero(data.s)[j]}) ({len(bad)} such bins)")
     prior = config.prior
     x = zero_filled(y, sens)
     _check_finite(x, "initial estimate", 0)
     state = SolverState(x=x, z=x.copy(), m=sens.maps * x, t=0, x0=x,
                         objective_includes_prior=prior.value(x) is not None)
+    state.objective_history.append(objective(
+        state, y, sens, mask, *config.params_at(1), prior, config.dc_blend_v))
+    if config.record_history:
+        state.x_history.append(x.copy())
     dual = prior.new_dual(x.shape)
-    k_dc = np.empty((*y.shape[:-1], mask.n_selected), dtype=complex)
-    for t in range(config.iterations + 1):
-        alpha, beta, lam = config.params_at(max(t, 1))
-        if t:
-            z, converged = prior.prox_info(state.x, beta, lam, dual)
-            if not converged:
-                state.warnings.append(
-                    f"prior inner solver did not reach tolerance at iteration {t}"
-                )
+    k_dc = np.empty(data.y_s.shape, dtype=complex)
+    for t in range(1, config.iterations + 1):
+        alpha, beta, lam = config.params_at(t)
+        x_prev = state.x
+        z, converged = prior.prox_info(x_prev, beta, lam, dual)
+        if not converged:
+            state.warnings.append(
+                f"prior inner solver did not reach tolerance at iteration {t}"
+            )
+        # F at t reads no coil stack: free the previous one before DC makes the next
+        state.m = m = None
+        m = dc_update(x_prev, y, sens, mask, alpha, config.dc_blend_v, k_dc,
+                      data=data)
+        x = x_update(z, m, sens, alpha, beta)
+        if not np.all(np.isfinite(x)):
+            # x carries any NaN or inf of z or m; name the first step that made one
             _check_finite(z, "filtering step", t)
-            m = dc_update(state.x, y, sens, mask, alpha, config.dc_blend_v, k_dc)
             _check_finite(m, "data-consistency step", t)
-            x = x_update(z, m, sens, alpha, beta)
             _check_finite(x, "auxiliary update", t)
-            state.x, state.z, state.m, state.t = x, z, m, t
-        state.objective_history.append(objective(
-            state, y, sens, mask, alpha, beta, lam, prior, config.dc_blend_v,
-            k_dc if t else None))
+        state.x, state.z, state.m, state.t = x, z, m, t
+        state.objective_history.append(_objective_from_blocks(
+            data, sens, x_prev, x, z, k_dc, alpha, beta, lam, prior))
         if config.record_history:
-            state.x_history.append(state.x.copy())
+            state.x_history.append(x.copy())
     return state.x, state

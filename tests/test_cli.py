@@ -345,6 +345,21 @@ def test_recon_rejects_kspace_on_unsampled_columns(tmp_path, capsys):
     assert not (case / "recon").exists()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_recon_on_non_finite_kspace_exits_2_naming_the_bin(tmp_path, capsys, value):
+    case = small_case_dir(tmp_path)
+    y, _ = load_array(case / "kspace")
+    mask = load_mask(case / "mask")
+    # a sampled column outside the ACS block: the stored maps are used as is
+    col = np.flatnonzero(mask.line_selected)[0]
+    y[1, 5, col] = value
+    save_array(case / "kspace", y, kind="kspace")
+    assert run_cli("recon", "--case", case) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"(coil 1, row 5, column {col})" in err
+    assert not (case / "recon").exists() and not (case / "objective.log").exists()
+
+
 def test_recon_manifest_records_config_without_paths(tmp_path):
     case = small_case_dir(tmp_path)
     config = write_config(tmp_path / "cfg", {

@@ -168,11 +168,9 @@ def test_haar_pair_property(hh, wh, dtype, scale, seed):
         x = (scale * random_complex(rng, shape)).astype(dtype)
     else:
         x = (scale * rng.standard_normal(shape)).astype(dtype)
-    # single-precision input is summed pairwise in its own precision before
-    # the bands are formed in double, so it is held to its own epsilon
-    double_tol = 1e-12 * np.abs(x).max()
-    single = np.finfo(dtype).dtype == np.float32
-    tol = 8 * np.finfo(np.float32).eps * np.abs(x).max() if single else double_tol
+    # single-precision input is promoted before any sum, so every dtype
+    # meets the double-precision bound
+    tol = 1e-12 * np.abs(x).max()
     double = np.result_type(dtype, np.float64)
     bands = haar2_forward(x)
     for got, want in zip(bands, haar_bands_scalar(x.astype(double))):
@@ -188,7 +186,7 @@ def test_haar_pair_property(hh, wh, dtype, scale, seed):
     mixed = haar2_inverse(ll.real, lh, hl, hh_band)
     assert mixed.dtype == np.complex128
     for got, want in zip(haar2_forward(mixed), (ll.real, lh, hl, hh_band)):
-        np.testing.assert_allclose(got, want, rtol=0, atol=double_tol)
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
     for odd in ((2 * hh + 1, 2 * wh), (2 * hh, 2 * wh - 1)):
         with pytest.raises(ShapeError):
             haar2_forward(np.zeros(odd, dtype=dtype))

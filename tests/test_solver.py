@@ -1,5 +1,6 @@
 """Block updates against dense oracles, objective bookkeeping, limits."""
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 
@@ -36,7 +37,7 @@ from pcsmri import (
     zero_filled,
 )
 from pcsmri.priors import tv_denoise
-from pcsmri.solver import SolverState, dc_update, objective, x_update
+from pcsmri.solver import SolverState, _gather, dc_update, objective, x_update
 
 
 def _instance(seed, h=8, w=8, n_coils=3, r=2.0, acs=2):
@@ -385,9 +386,12 @@ def test_divergence_error_names_the_failing_step(tmp_path):
     gt, sens, y, mask = simulate_case(32, 32, n_coils=2, r=2.0, acs_width=8,
                                       seed=8)
     bad = y.copy()
-    bad[0, 0, np.flatnonzero(mask.line_selected)[0]] = np.nan
+    col = np.flatnonzero(mask.line_selected)[0]
+    bad[0, 0, col] = np.nan
     cfg = SolverConfig(prior=TikhonovPrior(), iterations=1)
-    with pytest.raises(DivergenceError, match="initial estimate"):
+    # non-finite measured data is bad input, not divergence
+    with pytest.raises(ProtocolError,
+                       match=rf"sampled bin \(coil 0, row 0, column {col}\)"):
         solve(bad, sens, mask, cfg)
 
     cmd = make_stub(tmp_path, "nan.py", conftest.NAN_STUB)
@@ -539,20 +543,57 @@ def test_dc_update_fills_the_k_dc_buffer():
     rng, sens, mask, x, y = _instance(16)
     s = mask.line_selected
     k_dc = np.full(y.shape[:-1] + (mask.n_selected,), np.nan, dtype=complex)
-    prior = TikhonovPrior()
     for v in (1.0, 0.35, rng.uniform(0.0, 1.0, (8, 8))):
         m = dc_update(x, y, sens, mask, 0.7, v, k_dc)
         np.testing.assert_array_equal(m, dc_update(x, y, sens, mask, 0.7, v))
         np.testing.assert_allclose(k_dc, fft2c(m)[..., s], rtol=0, atol=1e-12)
-        state = SolverState(x=x, z=x, m=m, t=1)
-        with_buffer = objective(state, y, sens, mask, 0.7, 1.0, 0.1, prior, v, k_dc)
-        assert with_buffer == pytest.approx(
-            objective(state, y, sens, mask, 0.7, 1.0, 0.1, prior, v), rel=1e-12)
     for bad in (k_dc[:1], k_dc[..., :-1], k_dc.astype(np.complex64)):
         with pytest.raises(ShapeError, match="k_dc must be complex128"):
             dc_update(x, y, sens, mask, 0.7, 1.0, bad)
-        with pytest.raises(ShapeError, match="k_dc must be complex128"):
-            objective(state, y, sens, mask, 0.7, 1.0, 0.1, prior, 1.0, bad)
+
+
+def test_dc_update_with_the_solve_record_is_bit_identical():
+    rng, sens, mask, x, y = _instance(17)
+    # complex64 k-space, as the CLI loads it, included
+    for y, v in itertools.product((y, y.astype(np.complex64)),
+                                  (1.0, 0.0, 0.35, rng.uniform(0.0, 1.0, (8, 8)))):
+        data = _gather(y, sens, mask, v)
+        k_plain = np.empty(data.y_s.shape, dtype=complex)
+        k_data = np.empty_like(k_plain)
+        m = dc_update(x, y, sens, mask, 0.7, v, k_plain)
+        np.testing.assert_array_equal(
+            dc_update(x, y, sens, mask, 0.7, v, k_data, data=data), m)
+        np.testing.assert_array_equal(k_data, k_plain)
+        if np.ndim(v) == 0:
+            # a scalar blend weighs complex64 data in double, as a v_map does
+            np.testing.assert_array_equal(
+                dc_update(x, y, sens, mask, 0.7, np.full((8, 8), v)), m)
+
+
+_LOG_ALPHA = st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["tikhonov", "soft_threshold_image",
+                             "soft_threshold_haar", "total_variation"]),
+       v=st.floats(0.0, 1.0) | st.integers(0, 2**32 - 1).map(_random_v_map),
+       iterations=st.integers(1, 3),
+       alpha=_LOG_ALPHA | st.lists(_LOG_ALPHA, min_size=3, max_size=3),
+       beta=st.floats(0.05, 20.0) | st.lists(st.floats(0.05, 20.0), min_size=3,
+                                             max_size=3),
+       lam=st.just(0.0) | st.floats(1e-4, 0.1))
+def test_objective_from_the_blocks_matches_the_direct_formula(kind, v, iterations,
+                                                              alpha, beta, lam):
+    # solve logs F at t >= 1 from the blocks; objective recomputes it from m
+    _, sens, y, mask = _blend_case()
+    alpha = alpha[:iterations] if isinstance(alpha, list) else alpha
+    beta = beta[:iterations] if isinstance(beta, list) else beta
+    prior = make_prior(kind)
+    cfg = SolverConfig(prior=prior, alpha=alpha, beta=beta, lam=lam,
+                       iterations=iterations, dc_blend_v=v)
+    _, state = solve(y, sens, mask, cfg)
+    direct = objective(state, y, sens, mask, *cfg.params_at(iterations), prior, v)
+    assert state.objective_history[-1] == pytest.approx(direct, rel=1e-12)
 
 
 @pytest.mark.parametrize("field, index", [
