@@ -280,8 +280,6 @@ def _run_recon(y, sens, mask, config, out_path, gt=None):
 def cmd_recon(args):
     fields = _read_kv_file(args.config) if args.config else {}
     config = _build_solver_config(fields)
-    if args.dump_iterates:
-        config.record_history = True
     y, sens, mask, case = _load_case(args.case, args.estimate_sens)
     out = Path(args.out) if args.out else case / "recon"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -454,7 +452,6 @@ def build_parser():
     p.add_argument("--out")
     p.add_argument("--estimate-sens", action="store_true",
                    help="estimate maps from the ACS even if sens exists")
-    p.add_argument("--dump-iterates", action="store_true")
     p.set_defaults(func=cmd_recon)
 
     p = subs.add_parser("eval", help="score reconstructions against ground truth")

@@ -186,6 +186,11 @@ def tv_value(z):
     return float(np.sum(np.sqrt(np.abs(g[0]) ** 2 + np.abs(g[1]) ** 2)))
 
 
+# Largest max|x|/theta tv_denoise accepts. With |p| <= 1, |div p| <= 4, so
+# |grad(div p - x/theta)|^2 <= 8 (max|x|/theta + 4)^2 stays finite below it.
+_TV_SCALE_MAX = float(np.sqrt(np.finfo(np.float64).max)) / 4
+
+
 def tv_denoise(x, theta, iterations=50, tol=1e-3, dual=None):
     """Solve argmin_z (1/2)||z - x||^2 + theta*TV(z) by dual iteration.
 
@@ -195,12 +200,20 @@ def tv_denoise(x, theta, iterations=50, tol=1e-3, dual=None):
     D = (1/2)||x||^2 - (1/2)||z||^2. ``dual``, an optional caller-owned
     (2, H, W) complex128 buffer with |p| <= 1, is the starting p (else
     zero) and is updated in place, so the next call, even with another
-    theta, can start from it. Returns (z, converged, n_dual_steps).
+    theta, can start from it. Returns (z, converged, n_dual_steps). A
+    theta > 0 below max|x|/3.4e153 (the square root of the largest double,
+    over 4) raises ConfigError: x/theta or its squared gradient would overflow.
     """
     theta = _check_weight(theta, "tv weight", allow_zero=True)
     x = np.asarray(x, dtype=np.complex128)
     if theta == 0:
         return x.copy(), True, 0
+    peak = np.max(np.abs(x), initial=0.0)
+    if peak > _TV_SCALE_MAX * theta:
+        raise ConfigError(
+            f"tv weight theta = lambda/beta = {theta:.3g} is too small for an "
+            f"image of peak magnitude {peak:.3g}: x/theta would overflow; "
+            f"theta must be at least {peak / _TV_SCALE_MAX:.3g}")
     if dual is None:
         dual = np.zeros((2,) + x.shape, dtype=np.complex128)
     elif dual.shape != (2,) + x.shape or dual.dtype != np.complex128:

@@ -23,8 +23,9 @@ lines added to the unchanged S_l x, so no full 2D transform of the coil
 stack is made.
 
 ``solve`` checks y, the mask and the blend once, at entry, and gathers
-the measured sampled columns there. For t >= 1 it takes the objective
-from what the blocks already hold, with no pass over the coil stack.
+the measured sampled columns there. Its start, m_0 = S x_0 and z_0 = x_0
+(neither stored), has zero coupling and tie terms, so F_0 comes from that
+record and R(x_0). For t >= 1 it takes F from what the blocks hold.
 With r = k_new - y on the sampled bins the DC change is
 k_new - k = -(w/alpha) r, and x_update's closed form gives
 sum_l S_l^H m_l = ((beta + alpha E) x_t - beta z_t)/alpha with
@@ -36,7 +37,8 @@ E = sum_l |S_l|^2. With d = x_{t-1} - x_t,
                                 + (2 beta/alpha) Re<d, x_t - z_t>.
 
 So the previous m is released before each DC step. ``objective``
-evaluates the same F directly, from state.m.
+evaluates F directly, from state.m. It, the start and the block
+evaluator all sum F's terms in one helper, ``_total``.
 """
 
 from dataclasses import dataclass, field
@@ -146,6 +148,10 @@ class _Data:
         """w = v*alpha/(alpha + 1 - v) for a checked alpha."""
         return self.v * alpha / (alpha + (1.0 - self.v))
 
+    def misfit(self, k):
+        """sum_l |k_l - y_l|^2 over coils for the sampled bins k, shape (H, n)."""
+        return np.sum(np.abs(k - self.y_s) ** 2, axis=0)
+
 
 def _gather(y, sens, mask, v):
     """The checked blend and a contiguous y[..., s] for mask.line_selected s."""
@@ -212,12 +218,16 @@ def objective(state, y, sens, mask, alpha, beta, lam, prior, v=1.0):
     beta, lam = _check_weight(beta, "beta"), _check_weight(lam, "lambda", True)
     _check_geometry(sens, image=state.x)
     _check_geometry(sens, image=state.z, coils=state.m, name="coil images")
-    residual = (fft2c(state.m, data.s) - data.y_s) * np.sqrt(data.weight(alpha))
-    total = (0.5 * l2_norm(residual) ** 2
-             + 0.5 * alpha * l2_norm(state.m - sens.maps * state.x) ** 2
-             + 0.5 * beta * l2_norm(state.z - state.x) ** 2)
-    r = prior.value(state.z)
-    return total if r is None else total + lam * r
+    return _total(data.weight(alpha), data.misfit(fft2c(state.m, data.s)),
+                  l2_norm(state.m - sens.maps * state.x) ** 2,
+                  l2_norm(state.z - state.x) ** 2, prior.value(state.z),
+                  alpha, beta, lam)
+
+
+def _total(w, r2, coupling, tie, penalty, alpha, beta, lam):
+    """F from its terms; a penalty R(z) of None (external prior) drops lam*R."""
+    total = float(0.5 * np.sum(w * r2) + 0.5 * alpha * coupling + 0.5 * beta * tie)
+    return total if penalty is None else total + lam * penalty
 
 
 def _objective_from_blocks(data, sens, x_prev, x, z, k_dc, alpha, beta, lam,
@@ -228,16 +238,14 @@ def _objective_from_blocks(data, sens, x_prev, x, z, k_dc, alpha, beta, lam,
     (z, x) the iteration's prox and x update; see the module docstring.
     """
     w = data.weight(alpha)
-    r2 = np.sum(np.abs(k_dc - data.y_s) ** 2, axis=0)
+    r2 = data.misfit(k_dc)
     delta = x_prev - x
     tie = x - z
     coupling = (np.sum((w / alpha) ** 2 * r2)
                 - np.vdot(sens.energy * delta, delta).real
                 + 2.0 * beta / alpha * np.vdot(delta, tie).real)
-    total = float(0.5 * np.sum(w * r2) + 0.5 * alpha * coupling
-                  + 0.5 * beta * np.vdot(tie, tie).real)
-    r = prior.value(z)
-    return total if r is None else total + lam * r
+    return _total(w, r2, coupling, np.vdot(tie, tie).real, prior.value(z),
+                  alpha, beta, lam)
 
 
 def _check_finite(arr, step, t):
@@ -250,12 +258,14 @@ def _check_finite(arr, step, t):
 def solve(y, sens, mask, config):
     """Run the full reconstruction from measured k-space.
 
-    Starts from the zero-filled estimate (t = 0: z = x and m_l = S_l x)
-    and alternates the three block updates for config.iterations rounds.
-    Returns (x, state); the state carries the objective at t = 0..T,
-    evaluated with alpha, beta, lam of round max(t, 1) and the blend v,
-    and inner-solver warnings. The prior's ``dual`` and the DC ``k_dc``
-    buffers belong to this solve: TV warm-starts from the previous dual.
+    Starts from the zero-filled estimate x_0 (z_0 = x_0, m_0 = S x_0, never
+    stored) and alternates the three block updates for config.iterations
+    rounds. Returns (x, state); the state carries the objective at
+    t = 0..T, evaluated with alpha, beta, lam of round max(t, 1) and the
+    blend v (F_0 from the record gathered at entry, F at t >= 1 from the
+    blocks, both summed by ``_total``), and inner-solver warnings. The
+    prior's ``dual`` and the DC ``k_dc`` buffers belong to this solve: TV
+    warm-starts from the previous dual.
     y must be zero on the columns the mask did not sample, as ``forward``
     leaves it, and finite on the sampled ones; ProtocolError names the
     first column or bin where it is not.
@@ -276,10 +286,14 @@ def solve(y, sens, mask, config):
     prior = config.prior
     x = zero_filled(y, sens)
     _check_finite(x, "initial estimate", 0)
-    state = SolverState(x=x, z=x.copy(), m=sens.maps * x, t=0, x0=x,
-                        objective_includes_prior=prior.value(x) is not None)
-    state.objective_history.append(objective(
-        state, y, sens, mask, *config.params_at(1), prior, config.dc_blend_v))
+    penalty = prior.value(x)
+    state = SolverState(x=x, z=x, m=None, t=0, x0=x,
+                        objective_includes_prior=penalty is not None)
+    alpha, beta, lam = config.params_at(1)
+    # m_0 = S x_0 and z_0 = x_0: the coupling and tie terms are exactly zero
+    state.objective_history.append(_total(
+        data.weight(alpha), data.misfit(fft2c(sens.maps * x, data.s)), 0.0, 0.0,
+        penalty, alpha, beta, lam))
     if config.record_history:
         state.x_history.append(x.copy())
     dual = prior.new_dual(x.shape)

@@ -418,9 +418,9 @@ def test_recon_estimates_maps_when_asked_or_missing(tmp_path):
 
 def test_recon_dump_iterates(tmp_path):
     case = small_case_dir(tmp_path)
-    config = write_config(tmp_path / "cfg", {"iterations": "4"})
-    assert run_cli("recon", "--case", case, "--config", config,
-                   "--dump-iterates") == 0
+    config = write_config(tmp_path / "cfg", {
+        "iterations": "4", "record_history": "true"})
+    assert run_cli("recon", "--case", case, "--config", config) == 0
     it_dir = case / "iterates"
     files = sorted(p.name for p in it_dir.glob("x_*") if not p.name.endswith(".hdr"))
     assert files == [f"x_{t:03d}" for t in range(5)]
@@ -431,6 +431,8 @@ def test_recon_dump_iterates(tmp_path):
     last, _ = load_image(it_dir / "x_004")
     rec, _ = load_image(case / "recon")
     assert np.array_equal(last, rec)
+    # record_history is the one switch; recon has no --dump-iterates flag
+    assert run_cli("recon", "--case", case, "--dump-iterates") == 2
 
 
 def test_recon_record_history_config_key(tmp_path):
@@ -439,6 +441,17 @@ def test_recon_record_history_config_key(tmp_path):
         "iterations": "2", "record_history": "true"})
     assert run_cli("recon", "--case", case, "--config", config) == 0
     assert (case / "iterates" / "x_002").exists()
+
+
+@pytest.mark.parametrize("lam", ["2.2e-313", "1.7e-187"])
+def test_recon_with_a_too_small_tv_weight_exits_2(tmp_path, capsys, lam):
+    case = small_case_dir(tmp_path)
+    config = write_config(tmp_path / "cfg", {
+        "prior": "total_variation", "lambda": lam})
+    assert run_cli("recon", "--case", case, "--config", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "tv weight theta = lambda/beta" in err
+    assert not (case / "recon").exists() and not (case / "objective.log").exists()
 
 
 def test_recon_v_map_file_equals_scalar_v(tmp_path):

@@ -30,6 +30,7 @@ from pcsmri import (
     make_prior,
 )
 from pcsmri.priors import (
+    _TV_SCALE_MAX,
     _soft_threshold,
     haar2_forward,
     haar2_inverse,
@@ -247,6 +248,17 @@ def test_tv_denoise_theta_zero_is_identity():
     z, converged, n_iter = tv_denoise(x, 0.0)
     np.testing.assert_array_equal(z, x)
     assert converged is True
+
+
+def test_tv_denoise_weight_bound_is_the_overflow_edge():
+    # a checkerboard of peak 1 has the largest gradient, and a unit dual
+    # the largest div p; the squared gradient must stay finite at the bound
+    x = np.where(np.indices((16, 16)).sum(axis=0) % 2, 1.0, -1.0) + 0j
+    dual = np.ones((2, 16, 16), dtype=np.complex128) / np.sqrt(2.0)
+    z, _, _ = tv_denoise(x, 1.0001 / _TV_SCALE_MAX, iterations=5, dual=dual)
+    assert np.all(np.isfinite(z)) and np.all(np.isfinite(dual))
+    with pytest.raises(ConfigError, match="theta = lambda/beta"):
+        tv_denoise(x, 0.9999 / _TV_SCALE_MAX)
 
 
 def test_tv_denoise_reports_convergence():

@@ -517,6 +517,37 @@ def test_solve_transforms_forward_once_per_iteration(monkeypatch):
             np.testing.assert_array_equal(lines, mask.line_selected)
 
 
+def test_solve_gathers_once_and_never_calls_objective(monkeypatch):
+    gt, sens, y, mask = simulate_case(32, 32, n_coils=2, r=2.0, acs_width=8,
+                                      noise_sigma=0.02, seed=14)
+    gathers = []
+
+    def counted(*args):
+        gathers.append(args)
+        return _gather(*args)
+
+    def forbidden(*args):
+        raise AssertionError("solve called objective")
+
+    monkeypatch.setattr("pcsmri.solver._gather", counted)
+    monkeypatch.setattr("pcsmri.solver.objective", forbidden)
+    for kind in ("tikhonov", "total_variation"):
+        gathers.clear()
+        solve(y, sens, mask, SolverConfig(prior=make_prior(kind), lam=0.02,
+                                          iterations=3, dc_blend_v=0.5))
+        assert len(gathers) == 1
+
+
+@pytest.mark.parametrize("lam", [2.2e-313, 1.7e-187])
+def test_too_small_tv_weight_raises_config_error(lam):
+    # x/theta would overflow: a ConfigError, not a DivergenceError or warnings
+    gt, sens, y, mask = simulate_case(32, 32, n_coils=2, r=2.0, acs_width=8,
+                                      seed=13)
+    cfg = SolverConfig(prior=make_prior("total_variation"), lam=lam, iterations=2)
+    with pytest.raises(ConfigError, match=r"tv weight theta = lambda/beta"):
+        solve(y, sens, mask, cfg)
+
+
 @pytest.mark.parametrize("v", ["one", "half", "map"])
 def test_objective_history_matches_recomputation_without_buffer(v):
     gt, sens, y, mask = simulate_case(32, 32, n_coils=2, r=3.0, acs_width=6,
@@ -594,6 +625,10 @@ def test_objective_from_the_blocks_matches_the_direct_formula(kind, v, iteration
     _, state = solve(y, sens, mask, cfg)
     direct = objective(state, y, sens, mask, *cfg.params_at(iterations), prior, v)
     assert state.objective_history[-1] == pytest.approx(direct, rel=1e-12)
+    x0 = state.x0
+    assert state.objective_history[0] == pytest.approx(objective(
+        SolverState(x=x0, z=x0, m=sens.maps * x0, t=0), y, sens, mask,
+        *cfg.params_at(1), prior, v), rel=1e-12)
 
 
 @pytest.mark.parametrize("field, index", [
