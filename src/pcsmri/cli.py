@@ -162,6 +162,15 @@ def _load_sens(path):
         raise ContainerError(f"{path} holds invalid sensitivity maps: {exc}") from None
 
 
+def _load_gt(path):
+    """The ground truth image at path; ContainerError unless it is finite."""
+    gt, _ = load_image(path)
+    if not np.all(np.isfinite(gt)):
+        raise ContainerError(f"{path} holds a non-finite ground truth value "
+                             f"({np.count_nonzero(~np.isfinite(gt))} pixels)")
+    return gt
+
+
 def _save_sens(path, sens):
     save_array(path, sens.maps, kind="sens", dtype="<c16")
 
@@ -282,10 +291,8 @@ def cmd_recon(args):
     config = _build_solver_config(fields)
     y, sens, mask, case = _load_case(args.case, args.estimate_sens)
     out = Path(args.out) if args.out else case / "recon"
+    gt = _load_gt(case / "gt") if (case / "gt").exists() else None
     out.parent.mkdir(parents=True, exist_ok=True)
-    gt = None
-    if (case / "gt").exists():
-        gt, _ = load_image(case / "gt")
     _run_recon(y, sens, mask, config, out, gt=gt)
     _write_manifest(
         out.parent / "recon_manifest.txt", "recon",
@@ -317,7 +324,7 @@ def _print_table(rows):
 
 def _eval_pair(recon_path, gt_path, sens_path=None):
     rec, _ = load_image(recon_path)
-    gt, _ = load_image(gt_path)
+    gt = _load_gt(gt_path)
     support = None if sens_path is None else _load_sens(sens_path).support
     return evaluate(rec, gt, support=support)
 
@@ -361,10 +368,9 @@ def cmd_sweep(args):
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     fields = _read_kv_file(args.grid)
     y, sens, mask, case = _load_case(args.case, args.estimate_sens)
-    try:
-        gt, _ = load_image(case / "gt")
-    except ContainerError:
-        raise ConfigError(f"sweep needs {case / 'gt'} for scoring") from None
+    if not (case / "gt").exists():
+        raise ConfigError(f"sweep needs {case / 'gt'} for scoring")
+    gt = _load_gt(case / "gt")
     combos = _expand_grid(fields)
     out_root = Path(args.out) if args.out else case / "sweep"
     out_root.mkdir(parents=True, exist_ok=True)

@@ -27,7 +27,7 @@ class EstimationError(PcsmriError, RuntimeError):
 
 
 class DivergenceError(PcsmriError, RuntimeError):
-    """A solver iterate became non-finite; message names the step."""
+    """A solver iterate or the objective became non-finite; message names the step."""
 
 
 class PriorExecutionError(PcsmriError, RuntimeError):

@@ -17,10 +17,17 @@ Every block is therefore minimized exactly (TV up to its duality gap),
 so F is non-increasing across iterations for every v as
 long as alpha, beta and lam stay constant.
 
-m_l lives in image domain. The DC step only transforms the sampled
-columns: m_l = S_l x + F^H U^H (k_new - k), a correction on the sampled
-lines added to the unchanged S_l x, so no full 2D transform of the coil
-stack is made.
+m_l lives in image domain. The DC step works on one coil stack in place:
+it writes S_l x there, transforms it along W (F_W, full width), reads
+k = F_s(S_l x) on the sampled columns s through the centered H transform
+F_H, writes F_H^-1 k_new over those columns and transforms back along W.
+Those columns held F_H^-1 k, so with dk = k_new - k
+
+    m_l = F_W^-1 (F_W S_l x + U_W^H F_H^-1 dk) = S_l x + F^H U^H dk,
+
+a correction on the sampled lines added to S_l x (to round-off), so no
+full 2D transform of the coil stack is made and no second stack is
+allocated.
 
 ``solve`` checks y, the mask and the blend once, at entry, and gathers
 the measured sampled columns there. Its start, m_0 = S x_0 and z_0 = x_0
@@ -36,7 +43,9 @@ E = sum_l |S_l|^2. With d = x_{t-1} - x_t,
                               = ||k_new - k||^2 - <E d, d>
                                 + (2 beta/alpha) Re<d, x_t - z_t>.
 
-So the previous m is released before each DC step. ``objective``
+So F at t reads no coil stack, and each DC step overwrites the previous
+m in place (its ``out=``): a solve allocates one coil stack, at its first
+DC step. ``solve`` raises DivergenceError for a non-finite F. ``objective``
 evaluates F directly, from state.m. It, the start and the block
 evaluator all sum F's terms in one helper, ``_total``.
 """
@@ -48,7 +57,7 @@ import numpy as np
 from .errors import ConfigError, DivergenceError, ProtocolError, ShapeError
 from .operators import _check_geometry, zero_filled
 from .priors import Prior, _check_count, _check_weight
-from .transforms import fft2c, ifft2c, l2_norm
+from .transforms import _columns, _h_forward, _h_inverse, fft2c, l2_norm
 
 
 def _as_schedule(value, name, t_total, allow_zero):
@@ -137,12 +146,15 @@ class _Data:
 
     v is a 0-d float64 array, or the (H, n_selected) columns of a v_map, so
     w promotes complex64 data alike in both cases and broadcasts against
-    the (Nc, H, n_selected) sampled bins.
+    the (Nc, H, n_selected) sampled bins. f and phase are the columns'
+    uncentered frequencies and W-centering phase (``transforms._columns``).
     """
 
     s: np.ndarray
     y_s: np.ndarray
     v: object
+    f: np.ndarray
+    phase: np.ndarray
 
     def weight(self, alpha):
         """w = v*alpha/(alpha + 1 - v) for a checked alpha."""
@@ -159,36 +171,46 @@ def _gather(y, sens, mask, v):
     _check_geometry(sens, mask, coils=y, blend=v)
     s = mask.line_selected
     y_s = np.ascontiguousarray(np.asarray(y)[..., s])
-    return _Data(s, y_s, v if v.ndim == 0 else v[:, s])
+    _, f, phase = _columns(s, mask.width)
+    return _Data(s, y_s, v if v.ndim == 0 else v[:, s], f, phase)
 
 
-def dc_update(x_prev, y, sens, mask, alpha, v=1.0, k_dc=None, *, data=None):
+def dc_update(x_prev, y, sens, mask, alpha, v=1.0, k_dc=None, *, data=None,
+              out=None):
     """Per-coil data-consistency step, solved bin by bin in k-space.
 
     With k = fft2c(S_l * x_prev) on the sampled columns, each sampled bin
-    moves to (w*y + alpha*k)/(w + alpha), the exact minimizer of the coil
-    subproblem under the data weight w = v*alpha/(alpha + 1 - v) that
-    ``objective`` applies for the same blend v (w = 1 at v = 1, exact
-    consistency); unsampled bins keep k. Returns per-coil images
-    S_l * x_prev plus the inverse transform of that change on the sampled
-    columns; the new sampled bins are computed into ``k_dc``, a
-    caller-owned buffer, if given. ``data`` is the record ``solve``
-    gathers once from (y, mask, v); without it they are checked here.
+    moves to k + w/(w + alpha)*(y - k) = (w*y + alpha*k)/(w + alpha), the
+    exact minimizer of the coil subproblem under the data weight
+    w = v*alpha/(alpha + 1 - v) that ``objective`` applies for the same
+    blend v (w = 1 at v = 1, exact consistency); unsampled bins keep k.
+    Returns per-coil images S_l * x_prev plus the inverse transform of
+    that change on the sampled columns, computed in one coil stack: ``out``,
+    a caller-owned complex128 (Nc, H, W) buffer, if given (its contents
+    are overwritten), else a new one. The new sampled bins are computed
+    into ``k_dc``, a caller-owned buffer, if given. ``data`` is the record
+    ``solve`` gathers once from (y, mask, v); without it they are checked
+    here.
     """
     if data is None:
         data = _gather(y, sens, mask, v)
     alpha = _check_weight(alpha, "alpha")
-    if k_dc is not None and (k_dc.shape != data.y_s.shape
-                             or k_dc.dtype != np.complex128):
-        raise ShapeError(f"k_dc must be complex128 of shape {data.y_s.shape}")
+    for name, buf, shape in (("k_dc", k_dc, data.y_s.shape),
+                             ("out", out, sens.maps.shape)):
+        if buf is not None and (buf.shape != shape or buf.dtype != np.complex128):
+            raise ShapeError(f"{name} must be complex128 of shape {shape}")
     _check_geometry(sens, image=x_prev)
     w = data.weight(alpha)
-    coil_images = sens.maps * x_prev
-    k = fft2c(coil_images, data.s)
-    k_new = np.divide(w * data.y_s + alpha * k, w + alpha, out=k_dc)
-    m = ifft2c(np.subtract(k_new, k, out=k), data.s)
-    m += coil_images
-    return m
+    m = np.multiply(sens.maps, x_prev, out=out)
+    np.fft.fft(m, axis=-1, norm="ortho", out=m)
+    k = _h_forward(m[..., data.f], data.phase)
+    # k_new = k + w/(w + alpha)*(y - k), in k_dc if given
+    k_new = np.subtract(data.y_s, k, out=k_dc)
+    k_new *= w / (w + alpha)
+    k_new += k
+    # the sampled columns of F_W(S x) held F_H^-1 k: replacing them adds the change
+    m[..., data.f] = _h_inverse(k_new, data.phase)
+    return np.fft.ifft(m, axis=-1, norm="ortho", out=m)
 
 
 def x_update(z, m, sens, alpha, beta):
@@ -199,9 +221,12 @@ def x_update(z, m, sens, alpha, beta):
     """
     alpha, beta = _check_weight(alpha, "alpha"), _check_weight(beta, "beta")
     _check_geometry(sens, image=z, coils=m, name="coil images")
-    sh_m = np.conj(sens.maps)
-    sh_m *= m  # in place: one coil-stack temporary, not two
-    num = beta * np.asarray(z) + alpha * np.sum(sh_m, axis=0)
+    m = np.asarray(m)
+    # coil by coil, in the order np.sum(..., axis=0) adds: no coil-stack temporary
+    sh_m = np.conj(sens.maps[0]) * m[0]
+    for s_l, m_l in zip(sens.maps[1:], m[1:]):
+        sh_m += np.conj(s_l) * m_l
+    num = beta * np.asarray(z) + alpha * sh_m
     return num / (beta + alpha * sens.energy)
 
 
@@ -255,6 +280,12 @@ def _check_finite(arr, step, t):
         )
 
 
+def _log_objective(state, value, t):
+    """Append F at iteration t to the history; DivergenceError if it is not finite."""
+    _check_finite(value, "objective", t)
+    state.objective_history.append(value)
+
+
 def solve(y, sens, mask, config):
     """Run the full reconstruction from measured k-space.
 
@@ -264,8 +295,10 @@ def solve(y, sens, mask, config):
     t = 0..T, evaluated with alpha, beta, lam of round max(t, 1) and the
     blend v (F_0 from the record gathered at entry, F at t >= 1 from the
     blocks, both summed by ``_total``), and inner-solver warnings. The
-    prior's ``dual`` and the DC ``k_dc`` buffers belong to this solve: TV
-    warm-starts from the previous dual.
+    prior's ``dual``, the DC ``k_dc`` and the coil stack m belong to this
+    solve: TV warm-starts from the previous dual, and each DC step
+    overwrites the previous m. A non-finite x or F raises DivergenceError
+    naming the iteration.
     y must be zero on the columns the mask did not sample, as ``forward``
     leaves it, and finite on the sampled ones; ProtocolError names the
     first column or bin where it is not.
@@ -291,9 +324,9 @@ def solve(y, sens, mask, config):
                         objective_includes_prior=penalty is not None)
     alpha, beta, lam = config.params_at(1)
     # m_0 = S x_0 and z_0 = x_0: the coupling and tie terms are exactly zero
-    state.objective_history.append(_total(
+    _log_objective(state, _total(
         data.weight(alpha), data.misfit(fft2c(sens.maps * x, data.s)), 0.0, 0.0,
-        penalty, alpha, beta, lam))
+        penalty, alpha, beta, lam), 0)
     if config.record_history:
         state.x_history.append(x.copy())
     dual = prior.new_dual(x.shape)
@@ -306,10 +339,9 @@ def solve(y, sens, mask, config):
             state.warnings.append(
                 f"prior inner solver did not reach tolerance at iteration {t}"
             )
-        # F at t reads no coil stack: free the previous one before DC makes the next
-        state.m = m = None
+        # F at t reads no coil stack: DC overwrites the previous one in place
         m = dc_update(x_prev, y, sens, mask, alpha, config.dc_blend_v, k_dc,
-                      data=data)
+                      data=data, out=state.m)
         x = x_update(z, m, sens, alpha, beta)
         if not np.all(np.isfinite(x)):
             # x carries any NaN or inf of z or m; name the first step that made one
@@ -317,8 +349,8 @@ def solve(y, sens, mask, config):
             _check_finite(m, "data-consistency step", t)
             _check_finite(x, "auxiliary update", t)
         state.x, state.z, state.m, state.t = x, z, m, t
-        state.objective_history.append(_objective_from_blocks(
-            data, sens, x_prev, x, z, k_dc, alpha, beta, lam, prior))
+        _log_objective(state, _objective_from_blocks(
+            data, sens, x_prev, x, z, k_dc, alpha, beta, lam, prior), t)
         if config.record_history:
             state.x_history.append(x.copy())
     return state.x, state

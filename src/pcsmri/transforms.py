@@ -20,7 +20,10 @@ an H-axis FFT of the n columns only. The W centering becomes a phase per
 column, exactly +-1 for even W, and the H shifts move only the (..., H, n)
 columns, so no full-grid shift is made. Results agree with the full
 transform followed by (or preceded by zero-filling to) the flagged
-columns to round-off.
+columns to round-off. The column phase and the H centering have one
+owner each, ``_columns`` and ``_h_forward``/``_h_inverse``; the solver's
+in-place data-consistency step uses the same helpers on its own W
+spectrum.
 """
 
 import numpy as np
@@ -63,6 +66,25 @@ def _columns(lines, width=None):
     return width, f, 1.0 - 2.0 * (f % 2)
 
 
+def _h_forward(cols, phase):
+    """Centered k-space bins of columns taken from an uncentered W spectrum.
+
+    ``cols`` is ``spectrum[..., f]`` for the unitary FFT along W and the
+    (f, phase) of ``_columns``, shape (..., H, n); it is overwritten. The
+    caller takes the columns, so a temporary spectrum is freed before the
+    H transform allocates.
+    """
+    cols *= phase
+    return _centered(np.fft.fftn, cols, axes=(-2,))
+
+
+def _h_inverse(ksp, phase):
+    """Inverse of ``_h_forward``: the W-spectrum columns f of the bins ksp."""
+    cols = _centered(np.fft.ifftn, ksp, axes=(-2,))
+    cols *= np.conj(phase)
+    return cols
+
+
 def fft2c(img, lines=None):
     """Centered, unitarily normalized 2D DFT over the last two axes.
 
@@ -72,9 +94,7 @@ def fft2c(img, lines=None):
     if lines is None:
         return _centered(np.fft.fftn, x)
     _, f, phase = _columns(lines, x.shape[-1])
-    ksp = np.fft.fft(x, axis=-1, norm="ortho")[..., f]
-    ksp *= phase
-    return _centered(np.fft.fftn, ksp, axes=(-2,))
+    return _h_forward(np.fft.fft(x, axis=-1, norm="ortho")[..., f], phase)
 
 
 def ifft2c(ksp, lines=None):
@@ -94,9 +114,7 @@ def ifft2c(ksp, lines=None):
     # allocated before the small temporaries, so that it can take the place
     # of a freed full-size array instead of growing the heap
     img = np.zeros((*ksp.shape[:-1], width), np.result_type(ksp, np.complex64))
-    hybrid = _centered(np.fft.ifftn, ksp, axes=(-2,))
-    hybrid *= np.conj(phase)
-    img[..., f] = hybrid
+    img[..., f] = _h_inverse(ksp, phase)
     return np.fft.ifft(img, axis=-1, norm="ortho", out=img)
 
 

@@ -360,6 +360,41 @@ def test_recon_on_non_finite_kspace_exits_2_naming_the_bin(tmp_path, capsys, val
     assert not (case / "recon").exists() and not (case / "objective.log").exists()
 
 
+@pytest.mark.parametrize("command", ["recon", "eval", "sweep"])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_a_non_finite_ground_truth_exits_3_naming_it(tmp_path, capsys, value,
+                                                     command):
+    case = small_case_dir(tmp_path)
+    gt, _ = load_image(case / "gt")
+    gt[3, 4] = value
+    save_image(case / "gt", gt, kind="gt")
+    argv = {
+        "recon": ["--case", case],
+        "eval": ["--recon", case / "gt", "--gt", case / "gt",
+                 "--report", tmp_path / "report.csv"],
+        "sweep": ["--case", case, "--grid", write_config(tmp_path / "grid", {
+            "prior": "tikhonov", "lambda": "0.01,0.02", "iterations": "2"})],
+    }[command]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run_cli(command, *argv) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith("i/o error:") and str(case / "gt") in err
+    assert "non-finite ground truth" in err and out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_recon_with_an_overflowing_objective_exits_4(tmp_path, capsys):
+    case = small_case_dir(tmp_path)
+    config = write_config(tmp_path / "cfg", {
+        "prior": "total_variation", "lambda": "1e307"})
+    assert run_cli("recon", "--case", case, "--config", config) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("divergence:")
+    assert "objective" in err and "iteration 0" in err
+    assert not (case / "recon").exists() and not (case / "objective.log").exists()
+
+
 def test_recon_manifest_records_config_without_paths(tmp_path):
     case = small_case_dir(tmp_path)
     config = write_config(tmp_path / "cfg", {

@@ -1,6 +1,7 @@
 """Block updates against dense oracles, objective bookkeeping, limits."""
 
 import itertools
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 
@@ -37,6 +38,7 @@ from pcsmri import (
     zero_filled,
 )
 from pcsmri.priors import tv_denoise
+from pcsmri import solver
 from pcsmri.solver import SolverState, _gather, dc_update, objective, x_update
 
 
@@ -50,8 +52,10 @@ def _instance(seed, h=8, w=8, n_coils=3, r=2.0, acs=2):
 
 
 def test_dc_update_matches_dense_normal_equations():
-    for seed in range(5):
-        _, sens, mask, x, y = _instance(seed)
+    # odd W runs the complex column phase, odd H the unequal H shifts
+    for (h, w), seed in itertools.product([(8, 8), (7, 8), (8, 9), (7, 9)],
+                                          range(5)):
+        _, sens, mask, x, y = _instance(seed, h=h, w=w)
         got = dc_update(x, y, sens, mask, alpha=0.7)
         want = dc_normal_equation_oracle(x, y, sens.maps, mask.line_selected, 0.7)
         np.testing.assert_allclose(got, want, atol=1e-8)
@@ -107,6 +111,10 @@ def test_x_update_matches_dense_normal_equations():
         got = x_update(z, m, sens, alpha=0.7, beta=0.3)
         want = x_update_normal_equation_oracle(z, m, sens.maps, 0.7, 0.3)
         np.testing.assert_allclose(got, want, atol=1e-10)
+        # the coil-by-coil sum adds in np.sum's order: bit-identical
+        summed = np.sum(np.conj(sens.maps) * m, axis=0)
+        np.testing.assert_array_equal(
+            got, (0.3 * z + 0.7 * summed) / (0.3 + 0.7 * sens.energy))
 
 
 def test_x_update_reduces_to_z_off_support():
@@ -499,22 +507,69 @@ def test_final_objective_matches_reported_history():
 def test_solve_transforms_forward_once_per_iteration(monkeypatch):
     gt, sens, y, mask = simulate_case(32, 32, n_coils=2, r=2.0, acs_width=8,
                                       noise_sigma=0.02, seed=14)
+    full, lines = sens.maps.shape, (*sens.maps.shape[:-1], mask.n_selected)
     calls = []
 
-    def counted(img, lines=None):
-        calls.append(lines)
-        return fft2c(img, lines)
+    def counted(name):
+        transform = getattr(np.fft, name)
 
-    monkeypatch.setattr("pcsmri.solver.fft2c", counted)
+        def run(a, *args, axis=-1, axes=None, **kwargs):
+            calls.append((name.startswith("i"), np.shape(a),
+                          tuple(axes) if axes is not None else (axis,)))
+            if axes is not None:
+                return transform(a, *args, axes=axes, **kwargs)
+            return transform(a, *args, axis=axis, **kwargs)
+        return run
+
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, counted(name))
     for iterations in (1, 4):
         calls.clear()
         solve(y, sens, mask, SolverConfig(prior=TikhonovPrior(), lam=0.02,
                                           iterations=iterations))
-        # one in each DC step, one for the objective at t = 0
-        assert len(calls) == iterations + 1
-        # each transforms only the sampled lines
-        for lines in calls:
-            np.testing.assert_array_equal(lines, mask.line_selected)
+        # zero_filled: the one 2D transform
+        assert [c for c in calls if c[2] == (-2, -1)] == [(True, full, (-2, -1))]
+        # one forward full-width transform along W in each DC step and one for
+        # the objective at t = 0, one inverse in each DC step
+        along_w = [c[:2] for c in calls if c[2] == (-1,)]
+        assert sorted(along_w) == ([(False, full)] * (iterations + 1)
+                                   + [(True, full)] * iterations)
+        # the H transforms see the sampled lines only
+        along_h = [c[:2] for c in calls if c[2] == (-2,)]
+        assert sorted(along_h) == ([(False, lines)] * (iterations + 1)
+                                   + [(True, lines)] * iterations)
+        assert len(calls) == 4 * iterations + 3
+
+
+def test_solve_allocates_one_coil_stack_at_its_first_dc_step(monkeypatch):
+    gt, sens, y, mask = simulate_case(64, 64, n_coils=8, r=8.0, acs_width=4,
+                                      noise_sigma=0.02, seed=16)
+    stack = sens.maps.nbytes
+    rises, start = [], []
+    real = solver._objective_from_blocks
+
+    def end_of_iteration(*args):
+        value = real(*args)
+        # the most memory held above what the iteration started with
+        rises.append(tracemalloc.get_traced_memory()[1] - start[-1])
+        tracemalloc.reset_peak()
+        start.append(tracemalloc.get_traced_memory()[0])
+        return value
+
+    monkeypatch.setattr(solver, "_objective_from_blocks", end_of_iteration)
+    cfg = SolverConfig(prior=make_prior("soft_threshold_haar"), lam=0.01,
+                       iterations=5)
+    tracemalloc.start()
+    try:
+        start.append(tracemalloc.get_traced_memory()[0])
+        _, state = solve(y, sens, mask, cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(rises) == 5
+    # the first DC step allocates the coil stack the solve then keeps ...
+    assert rises[0] >= stack and state.m.nbytes == stack
+    # ... and no later iteration allocates another one
+    assert max(rises[1:]) < stack, (rises, stack)
 
 
 def test_solve_gathers_once_and_never_calls_objective(monkeypatch):
@@ -536,6 +591,24 @@ def test_solve_gathers_once_and_never_calls_objective(monkeypatch):
         solve(y, sens, mask, SolverConfig(prior=make_prior(kind), lam=0.02,
                                           iterations=3, dc_blend_v=0.5))
         assert len(gathers) == 1
+
+
+@pytest.mark.parametrize("kind", ["total_variation", "soft_threshold_haar"])
+def test_a_non_finite_objective_raises_divergence_naming_the_iteration(kind):
+    gt, sens, y, mask = simulate_case(32, 32, n_coils=2, r=2.0, acs_width=8,
+                                      noise_sigma=0.01, seed=1)
+    # lam*R(x_0) overflows: F_0 is inf although x_0 is finite
+    cfg = SolverConfig(prior=make_prior(kind), lam=1e307, iterations=2)
+    with pytest.raises(DivergenceError, match="objective.*iteration 0"):
+        solve(y, sens, mask, cfg)
+
+
+def test_a_non_finite_objective_after_the_start_names_its_iteration(monkeypatch):
+    gt, sens, y, mask = simulate_case(32, 32, n_coils=2, r=2.0, acs_width=8,
+                                      noise_sigma=0.01, seed=1)
+    monkeypatch.setattr(solver, "_objective_from_blocks", lambda *args: np.inf)
+    with pytest.raises(DivergenceError, match="objective.*iteration 1"):
+        solve(y, sens, mask, SolverConfig(prior=TikhonovPrior(), iterations=2))
 
 
 @pytest.mark.parametrize("lam", [2.2e-313, 1.7e-187])
@@ -581,6 +654,10 @@ def test_dc_update_fills_the_k_dc_buffer():
     for bad in (k_dc[:1], k_dc[..., :-1], k_dc.astype(np.complex64)):
         with pytest.raises(ShapeError, match="k_dc must be complex128"):
             dc_update(x, y, sens, mask, 0.7, 1.0, bad)
+    out = np.empty(sens.maps.shape, dtype=complex)
+    for bad in (out[:1], out[..., :-1], out.astype(np.complex64), out[0]):
+        with pytest.raises(ShapeError, match="out must be complex128"):
+            dc_update(x, y, sens, mask, 0.7, 1.0, out=bad)
 
 
 def test_dc_update_with_the_solve_record_is_bit_identical():
@@ -590,11 +667,15 @@ def test_dc_update_with_the_solve_record_is_bit_identical():
                                   (1.0, 0.0, 0.35, rng.uniform(0.0, 1.0, (8, 8)))):
         data = _gather(y, sens, mask, v)
         k_plain = np.empty(data.y_s.shape, dtype=complex)
-        k_data = np.empty_like(k_plain)
         m = dc_update(x, y, sens, mask, 0.7, v, k_plain)
-        np.testing.assert_array_equal(
-            dc_update(x, y, sens, mask, 0.7, v, k_data, data=data), m)
-        np.testing.assert_array_equal(k_data, k_plain)
+        # with and without the record, into a fresh or a used coil stack
+        for record, reuse in itertools.product((None, data), (False, True)):
+            k_dc = np.full_like(k_plain, np.nan)
+            out = np.full_like(m, np.nan) if reuse else None
+            got = dc_update(x, y, sens, mask, 0.7, v, k_dc, data=record, out=out)
+            np.testing.assert_array_equal(got, m)
+            np.testing.assert_array_equal(k_dc, k_plain)
+            assert got is out if reuse else got is not m
         if np.ndim(v) == 0:
             # a scalar blend weighs complex64 data in double, as a v_map does
             np.testing.assert_array_equal(
