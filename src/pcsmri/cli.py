@@ -154,21 +154,22 @@ def _write_manifest(path, command, pairs):
                   [("command", command), ("version", __version__), *pairs])
 
 
+def _load_finite(path, what, load=load_image, expect_kind=None):
+    """``load``'s array at path; ContainerError naming path unless it is finite."""
+    arr, _ = load(path, expect_kind=expect_kind)
+    bad = np.count_nonzero(~np.isfinite(arr))
+    if bad:
+        raise ContainerError(
+            f"{path} holds non-finite {what} values ({bad} of {arr.size})")
+    return arr
+
+
 def _load_sens(path):
-    maps, _ = load_array(path, expect_kind="sens")
+    maps = _load_finite(path, "sensitivity map", load_array, expect_kind="sens")
     try:
         return SensitivitySet(maps, np.sum(np.abs(maps) ** 2, axis=0) > 0.5)
     except ConfigError as exc:
         raise ContainerError(f"{path} holds invalid sensitivity maps: {exc}") from None
-
-
-def _load_gt(path):
-    """The ground truth image at path; ContainerError unless it is finite."""
-    gt, _ = load_image(path)
-    if not np.all(np.isfinite(gt)):
-        raise ContainerError(f"{path} holds a non-finite ground truth value "
-                             f"({np.count_nonzero(~np.isfinite(gt))} pixels)")
-    return gt
 
 
 def _save_sens(path, sens):
@@ -291,7 +292,8 @@ def cmd_recon(args):
     config = _build_solver_config(fields)
     y, sens, mask, case = _load_case(args.case, args.estimate_sens)
     out = Path(args.out) if args.out else case / "recon"
-    gt = _load_gt(case / "gt") if (case / "gt").exists() else None
+    gt_path = case / "gt"
+    gt = _load_finite(gt_path, "ground truth") if gt_path.exists() else None
     out.parent.mkdir(parents=True, exist_ok=True)
     _run_recon(y, sens, mask, config, out, gt=gt)
     _write_manifest(
@@ -323,8 +325,8 @@ def _print_table(rows):
 
 
 def _eval_pair(recon_path, gt_path, sens_path=None):
-    rec, _ = load_image(recon_path)
-    gt = _load_gt(gt_path)
+    gt = _load_finite(gt_path, "ground truth")
+    rec = _load_finite(recon_path, "reconstruction")
     support = None if sens_path is None else _load_sens(sens_path).support
     return evaluate(rec, gt, support=support)
 
@@ -370,7 +372,7 @@ def cmd_sweep(args):
     y, sens, mask, case = _load_case(args.case, args.estimate_sens)
     if not (case / "gt").exists():
         raise ConfigError(f"sweep needs {case / 'gt'} for scoring")
-    gt = _load_gt(case / "gt")
+    gt = _load_finite(case / "gt", "ground truth")
     combos = _expand_grid(fields)
     out_root = Path(args.out) if args.out else case / "sweep"
     out_root.mkdir(parents=True, exist_ok=True)

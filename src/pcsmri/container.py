@@ -99,7 +99,11 @@ def _read_header(path, magic, schema):
 
 
 def save_array(path, arr, kind, dtype="<c8"):
-    """Write a complex (H, W) or (coils, H, W) array with its sidecar."""
+    """Write a complex (H, W) or (coils, H, W) array with its sidecar.
+
+    A finite value that ``dtype`` cannot hold raises ContainerError and
+    nothing is written; NaN and inf are stored as they are.
+    """
     if dtype not in _DTYPES:
         raise ContainerError(f"unsupported dtype {dtype!r}, expected one of {_DTYPES}")
     arr = np.asarray(arr)
@@ -109,10 +113,17 @@ def save_array(path, arr, kind, dtype="<c8"):
         raise ShapeError(f"expected (H, W) or (coils, H, W), got shape {arr.shape}")
     if not kind or any(c.isspace() for c in kind):
         raise ContainerError(f"invalid kind {kind!r}")
+    with np.errstate(over="ignore"):
+        stored = np.ascontiguousarray(arr.astype(dtype, copy=False))
+    if not np.can_cast(arr.dtype, dtype) and np.isinf(stored).any():
+        overflow = np.count_nonzero(np.isinf(stored) & np.isfinite(arr))
+        if overflow:
+            raise ContainerError(
+                f"cannot store {path} as {dtype}: {overflow} finite values overflow it")
     _write_header(
         path, _ARRAY_MAGIC,
         zip(_ARRAY_FIELDS, [kind, *arr.shape, dtype, "coil-major"]),
-        payload=np.ascontiguousarray(arr.astype(dtype, copy=False)).tobytes(),
+        payload=stored.tobytes(),
     )
 
 

@@ -126,17 +126,28 @@ def forward(x, sens, mask, noise_sigma=0.0, seed=None):
     return y
 
 
+def _combine(maps, coils):
+    """sum_l conj(S_l)*c_l, coil by coil in the order np.sum(..., axis=0) adds.
+
+    Bit-identical to that sum, without its two coil-stack temporaries.
+    """
+    out = np.conj(maps[0]) * coils[0]
+    for s_l, c_l in zip(maps[1:], coils[1:]):
+        out += np.conj(s_l) * c_l
+    return out
+
+
 def adjoint(y, sens, mask):
     """sum_l S_l^H F^H U^H U y_l, the exact adjoint of the noiseless forward."""
     _check_geometry(sens, mask, coils=y)
     s = mask.line_selected
-    return np.sum(np.conj(sens.maps) * ifft2c(np.asarray(y)[..., s], s), axis=0)
+    return _combine(sens.maps, ifft2c(np.asarray(y)[..., s], s))
 
 
 def zero_filled(y, sens):
     """Coil-combined inverse FFT of zero-filled data: the initial estimate."""
     _check_geometry(sens, coils=y)
-    return np.sum(np.conj(sens.maps) * ifft2c(y), axis=0)
+    return _combine(sens.maps, ifft2c(y))
 
 
 def rss_combine(imgs):

@@ -186,53 +186,49 @@ def tv_value(z):
     return float(np.sum(np.sqrt(np.abs(g[0]) ** 2 + np.abs(g[1]) ** 2)))
 
 
-# Largest max|x|/theta tv_denoise accepts. With |p| <= 1, |div p| <= 4, so
-# |grad(div p - x/theta)|^2 <= 8 (max|x|/theta + 4)^2 stays finite below it.
-_TV_SCALE_MAX = float(np.sqrt(np.finfo(np.float64).max)) / 4
-
-
 def tv_denoise(x, theta, iterations=50, tol=1e-3, dual=None):
     """Solve argmin_z (1/2)||z - x||^2 + theta*TV(z) by dual iteration.
 
     Semi-implicit fixed point on the dual field p (Chambolle 2004, step
-    1/8). It stops once the ROF duality gap at z = x - theta*div p is at
-    most tol*P: P - D, with P = (1/2)||z - x||^2 + theta*TV(z) and
-    D = (1/2)||x||^2 - (1/2)||z||^2. ``dual``, an optional caller-owned
-    (2, H, W) complex128 buffer with |p| <= 1, is the starting p (else
-    zero) and is updated in place, so the next call, even with another
-    theta, can start from it. Returns (z, converged, n_dual_steps). A
-    theta > 0 below max|x|/3.4e153 (the square root of the largest double,
-    over 4) raises ConfigError: x/theta or its squared gradient would overflow.
+    tau = 1/8) with z = x - theta*div p and G = grad z, in a form that
+    never divides by theta: p <- (theta*p - tau*G)/(theta + tau*|G|). It
+    stops once the ROF duality gap P - D is at most tol*P, with
+    P = (1/2)||z - x||^2 + theta*TV(z) and D = (1/2)||x||^2 - (1/2)||z||^2.
+    ``dual``, an optional caller-owned (2, H, W) complex128 buffer with
+    |p| <= 1, is the starting p (else zero) and is updated in place, so
+    the next call, even with another theta, can start from it. Returns
+    (z, converged, n_dual_steps). A theta below the smallest normal
+    double acts as theta = 0 (z = x, within 4*theta of the exact prox).
     """
     theta = _check_weight(theta, "tv weight", allow_zero=True)
     x = np.asarray(x, dtype=np.complex128)
-    if theta == 0:
+    if theta < np.finfo(np.float64).tiny:
         return x.copy(), True, 0
-    peak = np.max(np.abs(x), initial=0.0)
-    if peak > _TV_SCALE_MAX * theta:
-        raise ConfigError(
-            f"tv weight theta = lambda/beta = {theta:.3g} is too small for an "
-            f"image of peak magnitude {peak:.3g}: x/theta would overflow; "
-            f"theta must be at least {peak / _TV_SCALE_MAX:.3g}")
     if dual is None:
         dual = np.zeros((2,) + x.shape, dtype=np.complex128)
     elif dual.shape != (2,) + x.shape or dual.dtype != np.complex128:
         raise ShapeError(f"tv dual must be complex128 of shape {(2,) + x.shape}")
     tau = 0.125
-    x_scaled = x / theta
     for it in range(iterations + 1):
-        d = _div2(dual)
-        # g = grad(d - x/theta) = -grad(z)/theta, so theta*TV(z) = theta^2*sum|g|
-        g = _grad2(d - x_scaled)
+        z = _div2(dual)
+        fit = 0.5 * theta * np.vdot(z, z).real
+        # z = x - theta*div p, formed in the div buffer
+        z *= -theta
+        z += x
+        g = _grad2(z)
         mag = np.sqrt(np.abs(g[0]) ** 2 + np.abs(g[1]) ** 2)
         tv = mag.sum()
-        # (P - D)/theta^2 = sum|g| - Re<g, p> against P/theta^2
-        if tv - np.vdot(g, dual).real <= tol * (0.5 * np.vdot(d, d).real + tv):
-            return x - theta * d, True, it
+        # P/theta = fit + sum|G| and (P - D)/theta = sum|G| + Re<G, p>
+        if tv + np.vdot(g, dual).real <= tol * (fit + tv):
+            return z, True, it
         if it == iterations:
-            return x - theta * d, False, it
-        dual += tau * g
-        dual /= 1.0 + tau * mag
+            return z, False, it
+        dual *= theta
+        g *= tau
+        dual -= g
+        mag *= tau
+        mag += theta
+        dual /= mag
 
 
 class TotalVariationPrior(Prior):

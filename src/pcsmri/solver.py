@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, ProtocolError, ShapeError
-from .operators import _check_geometry, zero_filled
+from .operators import _check_geometry, _combine, zero_filled
 from .priors import Prior, _check_count, _check_weight
 from .transforms import _columns, _h_forward, _h_inverse, fft2c, l2_norm
 
@@ -221,12 +221,7 @@ def x_update(z, m, sens, alpha, beta):
     """
     alpha, beta = _check_weight(alpha, "alpha"), _check_weight(beta, "beta")
     _check_geometry(sens, image=z, coils=m, name="coil images")
-    m = np.asarray(m)
-    # coil by coil, in the order np.sum(..., axis=0) adds: no coil-stack temporary
-    sh_m = np.conj(sens.maps[0]) * m[0]
-    for s_l, m_l in zip(sens.maps[1:], m[1:]):
-        sh_m += np.conj(s_l) * m_l
-    num = beta * np.asarray(z) + alpha * sh_m
+    num = beta * np.asarray(z) + alpha * _combine(sens.maps, np.asarray(m))
     return num / (beta + alpha * sens.energy)
 
 

@@ -384,6 +384,33 @@ def test_a_non_finite_ground_truth_exits_3_naming_it(tmp_path, capsys, value,
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("name,command", [
+    ("recon", "eval"), ("sens", "recon"), ("sens", "eval"), ("sens", "sweep")])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_a_non_finite_recon_or_sens_exits_3_naming_it(tmp_path, capsys, value,
+                                                      name, command):
+    case = small_case_dir(tmp_path)
+    save_image(tmp_path / "recon", np.ones((32, 32)), kind="recon")
+    path = {"recon": tmp_path / "recon", "sens": case / "sens"}[name]
+    arr, kind = load_array(path)
+    arr[:, 16, 16] = value
+    save_array(path, arr, kind=kind, dtype="<c16")
+    argv = {
+        "recon": ["--case", case],
+        "eval": ["--recon", tmp_path / "recon", "--gt", case / "gt",
+                 "--sens", case / "sens", "--report", tmp_path / "report.csv"],
+        "sweep": ["--case", case, "--grid", write_config(tmp_path / "grid", {
+            "prior": "tikhonov", "lambda": "0.01,0.02", "iterations": "2"})],
+    }[command]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run_cli(command, *argv) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith("i/o error:") and str(path) in err
+    assert "non-finite" in err and out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_recon_with_an_overflowing_objective_exits_4(tmp_path, capsys):
     case = small_case_dir(tmp_path)
     config = write_config(tmp_path / "cfg", {
@@ -479,14 +506,19 @@ def test_recon_record_history_config_key(tmp_path):
 
 
 @pytest.mark.parametrize("lam", ["2.2e-313", "1.7e-187"])
-def test_recon_with_a_too_small_tv_weight_exits_2(tmp_path, capsys, lam):
+def test_recon_with_a_tiny_tv_weight_matches_lambda_zero(tmp_path, lam):
     case = small_case_dir(tmp_path)
-    config = write_config(tmp_path / "cfg", {
-        "prior": "total_variation", "lambda": lam})
-    assert run_cli("recon", "--case", case, "--config", config) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "tv weight theta = lambda/beta" in err
-    assert not (case / "recon").exists() and not (case / "objective.log").exists()
+    recons = []
+    for name, weight in (("tiny", lam), ("zero", "0")):
+        config = write_config(tmp_path / f"{name}.cfg", {
+            "prior": "total_variation", "lambda": weight})
+        out = tmp_path / name / "recon"
+        assert run_cli("recon", "--case", case, "--config", config,
+                       "--out", out) == 0
+        assert "did not reach tolerance" not in (
+            out.parent / "objective.log").read_text()
+        recons.append(out.read_bytes())
+    assert recons[0] == recons[1]
 
 
 def test_recon_v_map_file_equals_scalar_v(tmp_path):

@@ -82,6 +82,19 @@ def test_save_rejects_bad_inputs(tmp_path):
         save_image(tmp_path / "x", np.ones((2, 2, 2)), kind="image")
 
 
+def test_save_refuses_a_finite_value_that_overflows_the_dtype(tmp_path):
+    big = np.array([[1.0, 1e39], [-2e39j, 3.0]])
+    with pytest.raises(ContainerError, match=r"ov.*<c8: 2 finite values"):
+        save_array(tmp_path / "ov", big, kind="image")
+    assert list(tmp_path.iterdir()) == []
+    # float64 pairs hold it; NaN and inf input is stored as it is
+    save_array(tmp_path / "wide", big, kind="image", dtype="<c16")
+    np.testing.assert_array_equal(load_array(tmp_path / "wide")[0][0], big)
+    odd = np.array([[np.nan, np.inf], [-np.inf * 1j, 1.0]])
+    save_array(tmp_path / "odd", odd, kind="image")
+    np.testing.assert_array_equal(load_array(tmp_path / "odd")[0][0], odd)
+
+
 def test_expect_kind_mismatch(tmp_path):
     save_array(tmp_path / "k", np.ones((1, 2, 2)), kind="kspace")
     load_array(tmp_path / "k", expect_kind="kspace")

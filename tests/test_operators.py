@@ -11,6 +11,7 @@ from pcsmri import (
     ShapeError,
     adjoint,
     forward,
+    ifft2c,
     make_coil_profiles,
     make_random_mask,
     rss_combine,
@@ -98,6 +99,15 @@ def test_zero_filled_is_the_unmasked_adjoint():
     # measured data is already zero off-mask, so both combinations agree
     np.testing.assert_allclose(zero_filled(y, sens), adjoint(y, sens, mask),
                                atol=1e-12)
+    # both combine coil by coil in the order np.sum adds: bit-identical to it
+    s = mask.line_selected
+    for data in (y, y.astype(np.complex64)):
+        conj_maps = np.conj(sens.maps)
+        np.testing.assert_array_equal(
+            zero_filled(data, sens), np.sum(conj_maps * ifft2c(data), axis=0))
+        np.testing.assert_array_equal(
+            adjoint(data, sens, mask),
+            np.sum(conj_maps * ifft2c(data[..., s], s), axis=0))
 
 
 def test_rss_combine_matches_definition():

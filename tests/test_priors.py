@@ -2,6 +2,7 @@
 solver against a long-run oracle, and the external denoiser protocol."""
 
 import tempfile
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -30,7 +31,6 @@ from pcsmri import (
     make_prior,
 )
 from pcsmri.priors import (
-    _TV_SCALE_MAX,
     _soft_threshold,
     haar2_forward,
     haar2_inverse,
@@ -250,15 +250,23 @@ def test_tv_denoise_theta_zero_is_identity():
     assert converged is True
 
 
-def test_tv_denoise_weight_bound_is_the_overflow_edge():
+def test_tv_denoise_tiny_weights_stay_within_four_theta_of_x():
     # a checkerboard of peak 1 has the largest gradient, and a unit dual
-    # the largest div p; the squared gradient must stay finite at the bound
+    # the largest div p; below 2.983e-154, x/theta would overflow for it
     x = np.where(np.indices((16, 16)).sum(axis=0) % 2, 1.0, -1.0) + 0j
-    dual = np.ones((2, 16, 16), dtype=np.complex128) / np.sqrt(2.0)
-    z, _, _ = tv_denoise(x, 1.0001 / _TV_SCALE_MAX, iterations=5, dual=dual)
-    assert np.all(np.isfinite(z)) and np.all(np.isfinite(dual))
-    with pytest.raises(ConfigError, match="theta = lambda/beta"):
-        tv_denoise(x, 0.9999 / _TV_SCALE_MAX)
+    for theta in (1.0001 * 2.983e-154, 0.9999 * 2.983e-154, 1e-300,
+                  np.finfo(float).tiny):
+        dual = np.ones((2, 16, 16), dtype=np.complex128) / np.sqrt(2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, converged, _ = tv_denoise(x, theta, iterations=5, dual=dual)
+        assert converged is True
+        assert np.all(np.isfinite(z)) and np.all(np.isfinite(dual))
+        assert np.abs(z - x).max() <= 4 * theta
+    # below the smallest normal double, theta acts as 0: z is a copy of x
+    z, converged, n_iter = tv_denoise(x, 2.2e-313)
+    np.testing.assert_array_equal(z, x)
+    assert z is not x and converged is True and n_iter == 0
 
 
 def test_tv_denoise_reports_convergence():
@@ -274,6 +282,14 @@ def test_tv_denoise_reports_convergence():
 
 def _dual_magnitude(p):
     return np.sqrt(np.abs(p[0]) ** 2 + np.abs(p[1]) ** 2)
+
+
+def _certified(x, theta, z, tol):
+    """P - D <= tol*P for the ROF problem, from z alone (not the loop's gap)."""
+    primal = 0.5 * np.sum(np.abs(z - x) ** 2) + theta * tv_value(z)
+    dual_value = 0.5 * np.sum(np.abs(x) ** 2) - 0.5 * np.sum(np.abs(z) ** 2)
+    slack = 1e-12 * (primal + np.sum(np.abs(x) ** 2))
+    return primal - dual_value <= tol * primal + slack
 
 
 @settings(max_examples=60, deadline=None)
@@ -293,16 +309,34 @@ def test_tv_denoise_gap_certificate(h, w, theta, tol, seed):
     assert n_iter == 0 or not np.array_equal(dual, start)
     if not converged:
         return
-    # independent of the loop's own gap: P and D evaluated from z alone
-    primal = 0.5 * np.sum(np.abs(z - x) ** 2) + theta * tv_value(z)
-    dual_value = 0.5 * np.sum(np.abs(x) ** 2) - 0.5 * np.sum(np.abs(z) ** 2)
-    slack = 1e-12 * (primal + np.sum(np.abs(x) ** 2))
-    assert primal - dual_value <= tol * primal + slack
+    assert _certified(x, theta, z, tol)
     # the buffer holds the certified dual: restarting from it takes no step
     z_again, converged_again, n_again = tv_denoise(x, theta, iterations=2000,
                                                    tol=tol, dual=dual)
     assert converged_again is True and n_again == 0
     np.testing.assert_array_equal(z_again, z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 9), st.integers(2, 9), st.floats(-300, 300),
+       st.floats(-3, 3), st.integers(0, 999))
+def test_tv_denoise_certificate_holds_at_extreme_weights(h, w, log_theta,
+                                                         log_peak, seed):
+    # theta from 1e-300 to 1e300 and images of peak 1e-3 to 1e3, cold and
+    # warm-started from the same theta: no warning, a finite z, and every
+    # reported convergence certified by the gap of z itself
+    rng = np.random.default_rng(seed)
+    x = random_complex(rng, (h, w))
+    x *= 10.0 ** log_peak / np.abs(x).max()
+    theta = 10.0 ** log_theta
+    dual = np.zeros((2, h, w), dtype=np.complex128)
+    for _ in ("cold", "warm"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, converged, _ = tv_denoise(x, theta, iterations=200, dual=dual)
+        assert np.all(np.isfinite(z))
+        assert _dual_magnitude(dual).max() <= 1 + 1e-12
+        assert not converged or _certified(x, theta, z, 1e-3)
 
 
 def test_tv_denoise_rejects_a_wrong_dual_buffer():

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 
@@ -612,13 +613,37 @@ def test_a_non_finite_objective_after_the_start_names_its_iteration(monkeypatch)
 
 
 @pytest.mark.parametrize("lam", [2.2e-313, 1.7e-187])
-def test_too_small_tv_weight_raises_config_error(lam):
-    # x/theta would overflow: a ConfigError, not a DivergenceError or warnings
+def test_a_tiny_tv_weight_solves_like_lambda_zero(lam):
+    # x/theta would overflow at 1.7e-187, and 2.2e-313 is subnormal
     gt, sens, y, mask = simulate_case(32, 32, n_coils=2, r=2.0, acs_width=8,
                                       seed=13)
-    cfg = SolverConfig(prior=make_prior("total_variation"), lam=lam, iterations=2)
-    with pytest.raises(ConfigError, match=r"tv weight theta = lambda/beta"):
-        solve(y, sens, mask, cfg)
+
+    def run(weight):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return solve(y, sens, mask, SolverConfig(
+                prior=make_prior("total_variation"), lam=weight, iterations=2))
+
+    x, state = run(lam)
+    x_zero, _ = run(0.0)
+    np.testing.assert_array_equal(x, x_zero)
+    assert state.warnings == []
+
+
+def test_tv_at_a_huge_weight_rises_only_on_flagged_iterations():
+    # theta = 1e300: the prox is capped, and says so, wherever F rises
+    gt, sens, y, mask = simulate_case(32, 32, n_coils=2, r=2.0, acs_width=8,
+                                      noise_sigma=0.01, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, state = solve(y, sens, mask, SolverConfig(
+            prior=make_prior("total_variation"), lam=1e300, iterations=6))
+    history = state.objective_history
+    assert np.all(np.isfinite(history)) and history[-1] < history[0]
+    flagged = {t for t in range(1, 7) if any(
+        w.endswith(f"iteration {t}") for w in state.warnings)}
+    rises = {t for t in range(1, 7) if history[t] > history[t - 1]}
+    assert rises <= flagged
 
 
 @pytest.mark.parametrize("v", ["one", "half", "map"])
