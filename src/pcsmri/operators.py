@@ -110,19 +110,20 @@ def forward(x, sens, mask, noise_sigma=0.0, seed=None):
 
     Complex Gaussian noise of std ``noise_sigma`` per real component is
     added on sampled lines only. Output is zero-filled at unsampled
-    positions. Deterministic for a given seed.
+    positions. Deterministic for a given seed: the real and the imaginary
+    parts of the noise are two full-grid normal draws, in that order, of
+    which only the sampled columns are used.
     """
     _check_geometry(sens, mask, image=x)
     noise_sigma = _check_weight(noise_sigma, "noise_sigma", allow_zero=True)
     s = mask.line_selected
-    y = np.zeros(sens.maps.shape, dtype=complex)
-    y[..., s] = fft2c(sens.maps * x, s)
+    cols = fft2c(sens.maps * x, s)
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
-        noise = noise_sigma * (
-            rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-        )
-        y[..., s] += noise[..., s]
+        for part in (cols.real, cols.imag):
+            part += noise_sigma * rng.standard_normal(sens.maps.shape)[..., s]
+    y = np.zeros(sens.maps.shape, dtype=cols.dtype)
+    y[..., s] = cols
     return y
 
 

@@ -163,6 +163,7 @@ def simulate_case(height, width, n_coils=4, phantom="shepp_logan",
                         phase_ramp=phase_ramp)
     profiles = make_coil_profiles(height, width, n_coils, rng_seed=int(sub[1]))
     sens = SensitivitySet.from_profiles(profiles)
+    del profiles  # the maps are a normalized copy; free it before forward
     if preset is not None:
         mask = make_preset_mask(preset, height, width, seed=int(sub[2]))
     elif mask_kind in MASK_KINDS:

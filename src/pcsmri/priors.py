@@ -5,18 +5,21 @@ argmin_z (beta/2)||z - x||^2 + lam*R(z), and the penalty value R(z)
 itself, exposed as ``value(z)`` for objective tracking. The update has
 one entry point on the base class: ``prox_info(x, beta, lam, dual)``
 checks once that beta > 0 and lam >= 0 are finite and calls the kind's
-``_prox(x, beta, lam, dual)`` hook; both return ``(z, converged)``.
-Analytic kinds solve the prox in closed form and always converge; total
-variation runs an inner dual iteration, warm-started from ``dual``, and
-reports whether it met its duality-gap tolerance; the external kind
-shells out to a user-supplied denoiser through files in a private
-per-call directory and reports no value.
+``_prox(x, beta, lam, dual)`` hook; both return ``(z, info)``, a
+``ProxInfo`` with the inner solver's convergence and the R(z) the prox
+computed on the way, so a caller tracking the objective need not call
+``value(z)`` again. Analytic kinds solve the prox in closed form and
+always converge; total variation runs an inner dual iteration,
+warm-started from ``dual``, and reports whether it met its duality-gap
+tolerance; the external kind shells out to a user-supplied denoiser
+through files in a private per-call directory and reports no value.
 """
 
 import shlex
 import subprocess
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,11 +27,23 @@ from .container import load_image, save_image
 from .errors import ConfigError, PriorExecutionError, ShapeError
 
 
+class ProxInfo(NamedTuple):
+    """What a prox call reports besides z.
+
+    converged: the inner solver met its tolerance (closed forms always do).
+    penalty: R(z) at the returned z, or None where R is not evaluable.
+    """
+
+    converged: bool
+    penalty: float | None
+
+
 def _soft_threshold(x, threshold):
-    """Complex magnitude shrinkage: shrink |x| by threshold, keep phase."""
+    """(z, sum |z|) for z: |x| shrunk by threshold, phase kept."""
     mag = np.abs(x)
-    scale = np.maximum(mag - threshold, 0.0) / np.where(mag > 0, mag, 1.0)
-    return scale * x
+    shrunk = np.maximum(mag - threshold, 0.0)
+    scale = shrunk / np.where(mag > 0, mag, 1.0)
+    return scale * x, float(np.sum(shrunk))
 
 
 def _check_count(value, name, minimum=1):
@@ -59,7 +74,7 @@ class Prior:
     kind = "base"
 
     def prox_info(self, x, beta, lam, dual=None):
-        """argmin_z (beta/2)||z - x||^2 + lam*R(z) and inner-solver convergence.
+        """(z, ProxInfo) for z = argmin_z (beta/2)||z - x||^2 + lam*R(z).
 
         ``dual`` is a caller-owned buffer that TV starts from and updates
         in place (see tv_denoise); the other kinds ignore it.
@@ -68,7 +83,7 @@ class Prior:
                           _check_weight(lam, "lambda", allow_zero=True), dual)
 
     def _prox(self, x, beta, lam, dual):
-        """(z, converged) for beta > 0 and lam >= 0, already checked."""
+        """(z, ProxInfo) for beta > 0 and lam >= 0, already checked."""
         raise NotImplementedError
 
     def new_dual(self, shape):
@@ -86,7 +101,9 @@ class TikhonovPrior(Prior):
     kind = "tikhonov"
 
     def _prox(self, x, beta, lam, dual):
-        return (beta / (beta + 2.0 * lam)) * np.asarray(x), True
+        x = np.asarray(x)
+        c = beta / (beta + 2.0 * lam)
+        return c * x, ProxInfo(True, c * c * float(np.vdot(x, x).real))
 
     def value(self, z):
         return float(np.sum(np.abs(z) ** 2))
@@ -101,7 +118,8 @@ class SoftThresholdPrior(Prior):
     kind = "soft_threshold_image"
 
     def _prox(self, x, beta, lam, dual):
-        return _soft_threshold(np.asarray(x), lam / beta), True
+        z, l1 = _soft_threshold(np.asarray(x), lam / beta)
+        return z, ProxInfo(True, l1)
 
     def value(self, z):
         return float(np.sum(np.abs(z)))
@@ -151,11 +169,10 @@ class HaarPrior(Prior):
     kind = "soft_threshold_haar"
 
     def _prox(self, x, beta, lam, dual):
-        ll, lh, hl, hh = haar2_forward(x)
-        t = lam / beta
-        return haar2_inverse(
-            ll, _soft_threshold(lh, t), _soft_threshold(hl, t), _soft_threshold(hh, t)
-        ), True
+        ll, *details = haar2_forward(x)
+        shrunk = [_soft_threshold(band, lam / beta) for band in details]
+        return haar2_inverse(ll, *(band for band, _ in shrunk)), ProxInfo(
+            True, sum(l1 for _, l1 in shrunk))
 
     def value(self, z):
         _, lh, hl, hh = haar2_forward(z)
@@ -186,7 +203,7 @@ def tv_value(z):
     return float(np.sum(np.sqrt(np.abs(g[0]) ** 2 + np.abs(g[1]) ** 2)))
 
 
-def tv_denoise(x, theta, iterations=50, tol=1e-3, dual=None):
+def tv_denoise(x, theta, iterations=50, tol=1e-3, dual=None, *, info=None):
     """Solve argmin_z (1/2)||z - x||^2 + theta*TV(z) by dual iteration.
 
     Semi-implicit fixed point on the dual field p (Chambolle 2004, step
@@ -199,10 +216,13 @@ def tv_denoise(x, theta, iterations=50, tol=1e-3, dual=None):
     the next call, even with another theta, can start from it. Returns
     (z, converged, n_dual_steps). A theta below the smallest normal
     double acts as theta = 0 (z = x, within 4*theta of the exact prox).
+    ``info``, an optional dict, receives "tv": TV(z) at the returned z.
     """
     theta = _check_weight(theta, "tv weight", allow_zero=True)
     x = np.asarray(x, dtype=np.complex128)
     if theta < np.finfo(np.float64).tiny:
+        if info is not None:
+            info["tv"] = tv_value(x)
         return x.copy(), True, 0
     if dual is None:
         dual = np.zeros((2,) + x.shape, dtype=np.complex128)
@@ -219,10 +239,11 @@ def tv_denoise(x, theta, iterations=50, tol=1e-3, dual=None):
         mag = np.sqrt(np.abs(g[0]) ** 2 + np.abs(g[1]) ** 2)
         tv = mag.sum()
         # P/theta = fit + sum|G| and (P - D)/theta = sum|G| + Re<G, p>
-        if tv + np.vdot(g, dual).real <= tol * (fit + tv):
-            return z, True, it
-        if it == iterations:
-            return z, False, it
+        converged = bool(tv + np.vdot(g, dual).real <= tol * (fit + tv))
+        if converged or it == iterations:
+            if info is not None:
+                info["tv"] = float(tv)
+            return z, converged, it
         dual *= theta
         g *= tau
         dual -= g
@@ -250,10 +271,10 @@ class TotalVariationPrior(Prior):
         return np.zeros((2, *shape), dtype=np.complex128)
 
     def _prox(self, x, beta, lam, dual):
-        z, converged, _ = tv_denoise(
-            x, lam / beta, iterations=self.iterations, tol=self.tol, dual=dual
-        )
-        return z, converged
+        info = {}
+        z, converged, _ = tv_denoise(x, lam / beta, iterations=self.iterations,
+                                     tol=self.tol, dual=dual, info=info)
+        return z, ProxInfo(converged, info["tv"])
 
     def value(self, z):
         return tv_value(z)
@@ -329,7 +350,7 @@ class ExternalPrior(Prior):
             raise PriorExecutionError(
                 f"external prior returned shape {z.shape}, expected {x.shape}"
             )
-        return z, True
+        return z, ProxInfo(True, None)
 
     def value(self, z):
         return None

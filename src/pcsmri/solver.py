@@ -27,12 +27,17 @@ Those columns held F_H^-1 k, so with dk = k_new - k
 
 a correction on the sampled lines added to S_l x (to round-off), so no
 full 2D transform of the coil stack is made and no second stack is
-allocated.
+allocated. The sampled columns are read and written through one flat
+index of the stack, built once per solve, that also folds in the H
+centering: it gathers the rows in FFT order and scatters them back, so
+k, y and k_new are all held in FFT row order, the H transforms run in
+place on the gathered (Nc, H, n) array, and no shifted copy is made.
 
 ``solve`` checks y, the mask and the blend once, at entry, and gathers
 the measured sampled columns there. Its start, m_0 = S x_0 and z_0 = x_0
 (neither stored), has zero coupling and tie terms, so F_0 comes from that
-record and R(x_0). For t >= 1 it takes F from what the blocks hold.
+record and R(x_0). For t >= 1 it takes F from what the blocks hold, R(z_t)
+included: the prox reports it (``priors.ProxInfo``).
 With r = k_new - y on the sampled bins the DC change is
 k_new - k = -(w/alpha) r, and x_update's closed form gives
 sum_l S_l^H m_l = ((beta + alpha E) x_t - beta z_t)/alpha with
@@ -57,7 +62,7 @@ import numpy as np
 from .errors import ConfigError, DivergenceError, ProtocolError, ShapeError
 from .operators import _check_geometry, _combine, zero_filled
 from .priors import Prior, _check_count, _check_weight
-from .transforms import _columns, _h_forward, _h_inverse, fft2c, l2_norm
+from .transforms import _columns, _sampled_index, fft2c, l2_norm
 
 
 def _as_schedule(value, name, t_total, allow_zero):
@@ -142,37 +147,59 @@ class SolverState:
 
 @dataclass(frozen=True)
 class _Data:
-    """y on the sampled columns s and the checked blend v, gathered once.
+    """y on the sampled bins and the checked blend v, gathered once.
 
-    v is a 0-d float64 array, or the (H, n_selected) columns of a v_map, so
-    w promotes complex64 data alike in both cases and broadcasts against
-    the (Nc, H, n_selected) sampled bins. f and phase are the columns'
-    uncentered frequencies and W-centering phase (``transforms._columns``).
+    The (Nc, H, n_selected) bins of the sampled columns s are in FFT row
+    order, the order the DC step transforms them in: y_s[l, i, j] is
+    y[l, (i + H//2) % H, s_j]. ``g`` reads the bins in that order from a W
+    spectrum (``transforms._sampled_index``), ``phase`` is the columns'
+    W-centering phase (``transforms._columns``) and ``k_new`` receives the
+    bins each DC step moves to, so a record serves one solve at a time. v
+    is a 0-d float64 array, or a v_map's (H, n_selected) sampled entries in
+    the same order, so w promotes complex64 data alike in both cases and
+    broadcasts against the bins.
     """
 
     s: np.ndarray
     y_s: np.ndarray
     v: object
-    f: np.ndarray
+    g: np.ndarray
     phase: np.ndarray
+    k_new: np.ndarray
 
     def weight(self, alpha):
         """w = v*alpha/(alpha + 1 - v) for a checked alpha."""
         return self.v * alpha / (alpha + (1.0 - self.v))
 
     def misfit(self, k):
-        """sum_l |k_l - y_l|^2 over coils for the sampled bins k, shape (H, n)."""
-        return np.sum(np.abs(k - self.y_s) ** 2, axis=0)
+        """sum_l |k_l - y_l|^2 per sampled bin, shape (H, n).
+
+        k is a C-contiguous complex128 array of bins in the record's row
+        order; it is overwritten with k - y.
+        """
+        k -= self.y_s
+        parts = k.view(np.float64)  # (Nc, H, 2n): real and imaginary parts
+        squares = np.einsum("lij,lij->ij", parts, parts)
+        return squares[:, 0::2] + squares[:, 1::2]
+
+    def centered_misfit(self, k):
+        """``misfit`` of the centered bins k, such as fft2c(..., s) returns."""
+        return self.misfit(np.ascontiguousarray(np.fft.ifftshift(k, axes=-2),
+                                                dtype=complex))
 
 
 def _gather(y, sens, mask, v):
-    """The checked blend and a contiguous y[..., s] for mask.line_selected s."""
+    """The record of y's sampled bins and the checked blend for mask.line_selected."""
     v = np.asarray(_check_blend(v))
     _check_geometry(sens, mask, coils=y, blend=v)
     s = mask.line_selected
-    y_s = np.ascontiguousarray(np.asarray(y)[..., s])
     _, f, phase = _columns(s, mask.width)
-    return _Data(s, y_s, v if v.ndim == 0 else v[:, s], f, phase)
+    g = _sampled_index(f, sens.maps.shape)
+    # y and a v_map are centered along W, so they are read at s itself
+    at_s = _sampled_index(np.flatnonzero(s), sens.maps.shape)
+    return _Data(s, np.ravel(y).take(at_s),
+                 v if v.ndim == 0 else v.ravel().take(at_s[0]),
+                 g, phase, np.empty(g.shape, dtype=complex))
 
 
 def dc_update(x_prev, y, sens, mask, alpha, v=1.0, k_dc=None, *, data=None,
@@ -186,30 +213,42 @@ def dc_update(x_prev, y, sens, mask, alpha, v=1.0, k_dc=None, *, data=None,
     blend v (w = 1 at v = 1, exact consistency); unsampled bins keep k.
     Returns per-coil images S_l * x_prev plus the inverse transform of
     that change on the sampled columns, computed in one coil stack: ``out``,
-    a caller-owned complex128 (Nc, H, W) buffer, if given (its contents
-    are overwritten), else a new one. The new sampled bins are computed
+    a caller-owned C-contiguous complex128 (Nc, H, W) buffer, if given (its
+    contents are overwritten), else a new one. The new sampled bins are
+    left in FFT row order in the record's ``k_new`` and copied, centered,
     into ``k_dc``, a caller-owned buffer, if given. ``data`` is the record
     ``solve`` gathers once from (y, mask, v); without it they are checked
-    here.
+    here. The stack's sampled columns are read and written through the
+    record's flat index, which folds in the H shifts (module docstring).
     """
     if data is None:
         data = _gather(y, sens, mask, v)
     alpha = _check_weight(alpha, "alpha")
-    for name, buf, shape in (("k_dc", k_dc, data.y_s.shape),
+    for name, buf, shape in (("k_dc", k_dc, data.g.shape),
                              ("out", out, sens.maps.shape)):
         if buf is not None and (buf.shape != shape or buf.dtype != np.complex128):
             raise ShapeError(f"{name} must be complex128 of shape {shape}")
+    if out is not None and not out.flags.c_contiguous:
+        # its flat view would be a copy, and the scatter into it lost
+        raise ShapeError("out must be C-contiguous")
     _check_geometry(sens, image=x_prev)
     w = data.weight(alpha)
     m = np.multiply(sens.maps, x_prev, out=out)
     np.fft.fft(m, axis=-1, norm="ortho", out=m)
-    k = _h_forward(m[..., data.f], data.phase)
-    # k_new = k + w/(w + alpha)*(y - k), in k_dc if given
-    k_new = np.subtract(data.y_s, k, out=k_dc)
+    m_flat = m.reshape(-1)
+    k = m_flat.take(data.g)
+    k *= data.phase
+    np.fft.fft(k, axis=-2, norm="ortho", out=k)
+    # k_new = k + w/(w + alpha)*(y - k)
+    k_new = np.subtract(data.y_s, k, out=data.k_new)
     k_new *= w / (w + alpha)
     k_new += k
+    np.fft.ifft(k_new, axis=-2, norm="ortho", out=k)
+    k *= np.conj(data.phase)
     # the sampled columns of F_W(S x) held F_H^-1 k: replacing them adds the change
-    m[..., data.f] = _h_inverse(k_new, data.phase)
+    m_flat[data.g] = k
+    if k_dc is not None:
+        k_dc[...] = np.fft.fftshift(k_new, axes=-2)
     return np.fft.ifft(m, axis=-1, norm="ortho", out=m)
 
 
@@ -221,8 +260,11 @@ def x_update(z, m, sens, alpha, beta):
     """
     alpha, beta = _check_weight(alpha, "alpha"), _check_weight(beta, "beta")
     _check_geometry(sens, image=z, coils=m, name="coil images")
-    num = beta * np.asarray(z) + alpha * _combine(sens.maps, np.asarray(m))
-    return num / (beta + alpha * sens.energy)
+    x = _combine(sens.maps, np.asarray(m))
+    x *= alpha
+    x += beta * np.asarray(z)
+    x /= beta + alpha * sens.energy
+    return x
 
 
 def objective(state, y, sens, mask, alpha, beta, lam, prior, v=1.0):
@@ -238,7 +280,7 @@ def objective(state, y, sens, mask, alpha, beta, lam, prior, v=1.0):
     beta, lam = _check_weight(beta, "beta"), _check_weight(lam, "lambda", True)
     _check_geometry(sens, image=state.x)
     _check_geometry(sens, image=state.z, coils=state.m, name="coil images")
-    return _total(data.weight(alpha), data.misfit(fft2c(state.m, data.s)),
+    return _total(data.weight(alpha), data.centered_misfit(fft2c(state.m, data.s)),
                   l2_norm(state.m - sens.maps * state.x) ** 2,
                   l2_norm(state.z - state.x) ** 2, prior.value(state.z),
                   alpha, beta, lam)
@@ -250,21 +292,21 @@ def _total(w, r2, coupling, tie, penalty, alpha, beta, lam):
     return total if penalty is None else total + lam * penalty
 
 
-def _objective_from_blocks(data, sens, x_prev, x, z, k_dc, alpha, beta, lam,
-                           prior):
+def _objective_from_blocks(data, sens, x_prev, x, z, alpha, beta, lam, penalty):
     """``objective`` after a solve iteration, without the coil stack m.
 
-    x_prev is the x the DC step read, k_dc the sampled bins it wrote, and
-    (z, x) the iteration's prox and x update; see the module docstring.
+    x_prev is the x the DC step read (it left the sampled bins it wrote in
+    data.k_new, which this overwrites), (z, x) the iteration's prox and x
+    update and penalty the R(z) the prox reported; see the module docstring.
     """
     w = data.weight(alpha)
-    r2 = data.misfit(k_dc)
+    r2 = data.misfit(data.k_new)
     delta = x_prev - x
     tie = x - z
     coupling = (np.sum((w / alpha) ** 2 * r2)
                 - np.vdot(sens.energy * delta, delta).real
                 + 2.0 * beta / alpha * np.vdot(delta, tie).real)
-    return _total(w, r2, coupling, np.vdot(tie, tie).real, prior.value(z),
+    return _total(w, r2, coupling, np.vdot(tie, tie).real, penalty,
                   alpha, beta, lam)
 
 
@@ -290,10 +332,10 @@ def solve(y, sens, mask, config):
     t = 0..T, evaluated with alpha, beta, lam of round max(t, 1) and the
     blend v (F_0 from the record gathered at entry, F at t >= 1 from the
     blocks, both summed by ``_total``), and inner-solver warnings. The
-    prior's ``dual``, the DC ``k_dc`` and the coil stack m belong to this
-    solve: TV warm-starts from the previous dual, and each DC step
-    overwrites the previous m. A non-finite x or F raises DivergenceError
-    naming the iteration.
+    prior's ``dual``, the record (with the DC step's ``k_new``) and the
+    coil stack m belong to this solve: TV warm-starts from the previous
+    dual, and each DC step overwrites the previous m. A non-finite x or F
+    raises DivergenceError naming the iteration.
     y must be zero on the columns the mask did not sample, as ``forward``
     leaves it, and finite on the sampled ones; ProtocolError names the
     first column or bin where it is not.
@@ -305,8 +347,8 @@ def solve(y, sens, mask, config):
     if stray.size:
         raise ProtocolError(f"k-space is nonzero on unsampled column {stray[0]} "
                             f"({stray.size} such columns); zero them first")
-    bad = np.argwhere(~np.isfinite(data.y_s))
-    if bad.size:
+    if not np.all(np.isfinite(data.y_s)):
+        bad = np.argwhere(~np.isfinite(np.asarray(y)[..., data.s]))
         coil, row, j = bad[0]
         raise ProtocolError(
             f"k-space is not finite at sampled bin (coil {coil}, row {row}, "
@@ -320,22 +362,22 @@ def solve(y, sens, mask, config):
     alpha, beta, lam = config.params_at(1)
     # m_0 = S x_0 and z_0 = x_0: the coupling and tie terms are exactly zero
     _log_objective(state, _total(
-        data.weight(alpha), data.misfit(fft2c(sens.maps * x, data.s)), 0.0, 0.0,
+        data.weight(alpha), data.centered_misfit(fft2c(sens.maps * x, data.s)),
+        0.0, 0.0,
         penalty, alpha, beta, lam), 0)
     if config.record_history:
         state.x_history.append(x.copy())
     dual = prior.new_dual(x.shape)
-    k_dc = np.empty(data.y_s.shape, dtype=complex)
     for t in range(1, config.iterations + 1):
         alpha, beta, lam = config.params_at(t)
         x_prev = state.x
-        z, converged = prior.prox_info(x_prev, beta, lam, dual)
-        if not converged:
+        z, info = prior.prox_info(x_prev, beta, lam, dual)
+        if not info.converged:
             state.warnings.append(
                 f"prior inner solver did not reach tolerance at iteration {t}"
             )
         # F at t reads no coil stack: DC overwrites the previous one in place
-        m = dc_update(x_prev, y, sens, mask, alpha, config.dc_blend_v, k_dc,
+        m = dc_update(x_prev, y, sens, mask, alpha, config.dc_blend_v,
                       data=data, out=state.m)
         x = x_update(z, m, sens, alpha, beta)
         if not np.all(np.isfinite(x)):
@@ -345,7 +387,7 @@ def solve(y, sens, mask, config):
             _check_finite(x, "auxiliary update", t)
         state.x, state.z, state.m, state.t = x, z, m, t
         _log_objective(state, _objective_from_blocks(
-            data, sens, x_prev, x, z, k_dc, alpha, beta, lam, prior), t)
+            data, sens, x_prev, x, z, alpha, beta, lam, info.penalty), t)
         if config.record_history:
             state.x_history.append(x.copy())
     return state.x, state

@@ -20,10 +20,12 @@ an H-axis FFT of the n columns only. The W centering becomes a phase per
 column, exactly +-1 for even W, and the H shifts move only the (..., H, n)
 columns, so no full-grid shift is made. Results agree with the full
 transform followed by (or preceded by zero-filling to) the flagged
-columns to round-off. The column phase and the H centering have one
-owner each, ``_columns`` and ``_h_forward``/``_h_inverse``; the solver's
-in-place data-consistency step uses the same helpers on its own W
-spectrum.
+columns to round-off. The column phase and the H centering are decided
+here only: ``_columns`` gives the phase, ``_h_forward``/``_h_inverse``
+shift the columns these transforms take, and ``_sampled_index`` builds
+the flat index through which the solver's in-place data-consistency
+step gathers the columns of its own W spectrum with the H shift folded
+in, in FFT row order, and scatters them back.
 """
 
 import numpy as np
@@ -64,6 +66,22 @@ def _columns(lines, width=None):
     if width % 2:
         return width, f, np.exp(2j * np.pi * ((f * c) % width) / width)
     return width, f, 1.0 - 2.0 * (f % 2)
+
+
+def _sampled_index(columns, shape):
+    """Flat index of the (Nc, H, n) bins of n columns of a C-ordered (Nc, H, W) stack.
+
+    Entry [l, i, j] addresses element (l, (i + H//2) % H, columns[j]): row
+    i is in FFT order, so gathering through it applies the H ifftshift of
+    ``_h_forward`` to the columns, and scattering results back through it
+    undoes that shift, for odd and even H. The columns are the uncentered
+    frequencies f of ``_columns`` in a W spectrum, or the flagged indices
+    themselves in centered k-space.
+    """
+    n_coils, height, width = shape
+    rows = (np.arange(height) + height // 2) % height
+    return ((np.arange(n_coils)[:, None, None] * height + rows[:, None]) * width
+            + columns)
 
 
 def _h_forward(cols, phase):

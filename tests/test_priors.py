@@ -57,14 +57,15 @@ def test_soft_threshold_scalar_formula():
     rng = np.random.default_rng(0)
     x = random_complex(rng, (6, 5))
     t = 0.8
-    got = _soft_threshold(x, t)
+    got, l1 = _soft_threshold(x, t)
     for i in range(6):
         for j in range(5):
             mag = abs(x[i, j])
             want = (max(mag - t, 0.0) / mag) * x[i, j]
             assert abs(got[i, j] - want) <= 1e-12
-    np.testing.assert_array_equal(_soft_threshold(x, 0.0), x)
-    assert np.all(_soft_threshold(0.1 * x, 10.0) == 0)
+    assert l1 == pytest.approx(float(np.sum(np.abs(got))), rel=1e-14)
+    np.testing.assert_array_equal(_soft_threshold(x, 0.0)[0], x)
+    assert np.all(_soft_threshold(0.1 * x, 10.0)[0] == 0)
 
 
 def test_tikhonov_prox_closed_form_and_optimality():
@@ -79,9 +80,9 @@ def test_tikhonov_prox_closed_form_and_optimality():
     assert np.abs(grad).max() <= 1e-12
     _assert_prox_is_a_minimizer(prior, x, beta, lam)
     assert prior.value(x) == pytest.approx(float(np.sum(np.abs(x) ** 2)))
-    z2, converged = prior.prox_info(x, beta, lam)
+    z2, info = prior.prox_info(x, beta, lam)
     np.testing.assert_array_equal(z2, z)
-    assert converged is True
+    assert info.converged is True
 
 
 def test_image_soft_threshold_prior():
@@ -90,7 +91,7 @@ def test_image_soft_threshold_prior():
     prior = SoftThresholdPrior()
     beta, lam = 2.0, 0.5
     np.testing.assert_allclose(
-        prior.prox_info(x, beta, lam)[0], _soft_threshold(x, lam / beta),
+        prior.prox_info(x, beta, lam)[0], _soft_threshold(x, lam / beta)[0],
         atol=1e-14
     )
     np.testing.assert_array_equal(prior.prox_info(x, beta, 0.0)[0], x)
@@ -140,6 +141,25 @@ def test_closed_form_prox_optimality_conditions(hh, wh, scale, beta, lam, seed):
     np.testing.assert_allclose(z_bands[0], x_bands[0], rtol=0, atol=1e-12 * scale)
     for xb, zb in zip(x_bands[1:], z_bands[1:]):
         _assert_shrinkage_optimality(xb, zb, t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["tikhonov", "soft_threshold_image",
+                             "soft_threshold_haar", "total_variation"]),
+       hh=st.integers(1, 8), wh=st.integers(1, 8), scale=st.floats(1e-3, 1e3),
+       beta=st.floats(0.05, 20.0), lam=st.floats(0.0, 2.0),
+       seed=st.integers(0, 999))
+def test_prox_reports_the_penalty_at_its_result(kind, hh, wh, scale, beta, lam,
+                                                seed):
+    # solve logs F with info.penalty in place of prior.value(z)
+    x = scale * random_complex(np.random.default_rng(seed), (2 * hh, 2 * wh))
+    prior = make_prior(kind)
+    z, info = prior.prox_info(x, beta, lam * scale, prior.new_dual(x.shape))
+    value = prior.value(z)
+    # Haar bands shrunk to zero come back from z as round-off of x's scale
+    bound = max(value, prior.value(x)) if kind == "soft_threshold_haar" else value
+    assert abs(info.penalty - value) <= 1e-14 * bound
+    assert info.converged is True or kind == "total_variation"
 
 
 def test_haar_round_trip_and_orthonormality():
@@ -212,9 +232,9 @@ def test_haar_prior_thresholds_details_only():
     ll_out, lh_out, hl_out, hh_out = haar2_forward(z)
     np.testing.assert_allclose(ll_out, ll_in, atol=1e-12)
     t = lam / beta
-    np.testing.assert_allclose(lh_out, _soft_threshold(lh_in, t), atol=1e-12)
-    np.testing.assert_allclose(hl_out, _soft_threshold(hl_in, t), atol=1e-12)
-    np.testing.assert_allclose(hh_out, _soft_threshold(hh_in, t), atol=1e-12)
+    np.testing.assert_allclose(lh_out, _soft_threshold(lh_in, t)[0], atol=1e-12)
+    np.testing.assert_allclose(hl_out, _soft_threshold(hl_in, t)[0], atol=1e-12)
+    np.testing.assert_allclose(hh_out, _soft_threshold(hh_in, t)[0], atol=1e-12)
     detail_l1 = sum(float(np.sum(np.abs(b))) for b in (lh_in, hl_in, hh_in))
     assert prior.value(x) == pytest.approx(detail_l1)
     _assert_prox_is_a_minimizer(prior, x, beta, lam)
@@ -358,8 +378,8 @@ def test_tv_prior_wires_theta_and_convergence_through():
     assert prior.value(x) == pytest.approx(tv_value(x))
 
     starved = TotalVariationPrior(iterations=1, tol=1e-14)
-    _, converged = starved.prox_info(x, beta, lam)
-    assert converged is False
+    _, info = starved.prox_info(x, beta, lam)
+    assert info.converged is False
 
 
 def test_tv_denoise_reduces_the_primal_objective():
@@ -378,9 +398,9 @@ def test_external_prior_identity_stub(tmp_path):
     z = prior.prox_info(x, beta=1.0, lam=0.0)[0]
     np.testing.assert_array_equal(z, x)  # c16 exchange is bit-exact
     assert prior.value(x) is None
-    z2, converged = prior.prox_info(x, beta=1.0, lam=0.0)
+    z2, info = prior.prox_info(x, beta=1.0, lam=0.0)
     np.testing.assert_array_equal(z2, x)
-    assert converged is True
+    assert info == (True, None)
 
 
 def test_external_prior_transforms_data(tmp_path):

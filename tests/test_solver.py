@@ -32,6 +32,7 @@ from pcsmri import (
     TotalVariationPrior,
     fft2c,
     forward,
+    ifft2c,
     make_prior,
     make_random_mask,
     simulate_case,
@@ -705,6 +706,74 @@ def test_dc_update_with_the_solve_record_is_bit_identical():
             # a scalar blend weighs complex64 data in double, as a v_map does
             np.testing.assert_array_equal(
                 dc_update(x, y, sens, mask, 0.7, np.full((8, 8), v)), m)
+
+
+def test_dc_update_refuses_an_out_it_cannot_scatter_into():
+    # the sampled bins are written through out's flat view, which for a
+    # non-contiguous out is a copy: the update would be lost without an error
+    _, sens, mask, x, y = _instance(18)
+    shape = sens.maps.shape
+    wide = np.full(shape[:-1] + (2 * shape[-1],), np.nan, dtype=complex)
+    fortran = np.full(shape, np.nan, dtype=complex, order="F")
+    for bad in (wide[..., ::2], fortran):
+        with pytest.raises(ShapeError, match="out must be C-contiguous"):
+            dc_update(x, y, sens, mask, 0.7, out=bad)
+    assert np.all(np.isnan(wide)) and np.all(np.isnan(fortran))
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=st.integers(2, 13), w=st.integers(4, 13), n_coils=st.integers(1, 4),
+       v_map=st.booleans(), complex64=st.booleans(), alpha=st.floats(0.05, 20.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_dc_update_flat_index_matches_the_line_transforms(h, w, n_coils, v_map,
+                                                          complex64, alpha, seed):
+    # odd and even H and W: the flat index folds in both H shifts
+    rng = np.random.default_rng(seed)
+    sens = SensitivitySet.from_profiles(random_complex(rng, (n_coils, h, w)))
+    mask = make_random_mask(h, w, 2.0, 2, seed=seed % 1000)
+    s = mask.line_selected
+    x = random_complex(rng, (h, w))
+    y = forward(x + random_complex(rng, (h, w)), sens, mask)
+    y = y.astype(np.complex64) if complex64 else y
+    v = rng.uniform(0.0, 1.0, (h, w)) if v_map else rng.uniform(0.0, 1.0)
+    k_plain = np.empty((n_coils, h, mask.n_selected), dtype=complex)
+    m = dc_update(x, y, sens, mask, alpha, v, k_plain)
+    # with the solve's record, into a used coil stack: the same bits
+    k_dc, out = np.full_like(k_plain, np.nan), np.full_like(m, np.nan)
+    got = dc_update(x, y, sens, mask, alpha, v, k_dc,
+                    data=_gather(y, sens, mask, v), out=out)
+    np.testing.assert_array_equal(got, m)
+    np.testing.assert_array_equal(k_dc, k_plain)
+    # k_dc holds the centered bins k + w/(w + alpha)*(y - k), and m adds
+    # the inverse transform of their change to S x
+    k = fft2c(sens.maps * x, s)
+    v_s = v[:, s] if v_map else v
+    weight = v_s * alpha / (alpha + 1.0 - v_s)
+    k_new = k + weight / (weight + alpha) * (y[..., s] - k)
+    np.testing.assert_allclose(k_plain, k_new, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(m, sens.maps * x + ifft2c(k_new - k, s), rtol=0,
+                               atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["tikhonov", "soft_threshold_image",
+                                  "soft_threshold_haar", "total_variation"])
+def test_every_logged_objective_matches_the_direct_formula(kind):
+    # F_t comes from the blocks and the R(z_t) the prox reported; objective
+    # recomputes it from the iterates of a solve stopped at t
+    gt, sens, y, mask = _blend_case()
+    prior = make_prior(kind)
+    for v in (0.6, _random_v_map(19)):
+        def run(iterations):
+            return solve(y, sens, mask, SolverConfig(
+                prior=prior, alpha=0.8, beta=1.2, lam=0.01,
+                iterations=iterations, dc_blend_v=v))[1]
+
+        history = run(4).objective_history
+        for t in range(1, 5):
+            state = run(t)
+            assert state.objective_history == history[:t + 1]
+            direct = objective(state, y, sens, mask, 0.8, 1.2, 0.01, prior, v)
+            assert history[t] == pytest.approx(direct, rel=1e-12)
 
 
 _LOG_ALPHA = st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e)
