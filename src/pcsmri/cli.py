@@ -33,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .container import (_write_files, _write_header, load_array, load_image,
-                        save_array, save_image)
+from .container import (_sidecar, _write_files, _write_header, load_array,
+                        load_image, save_array, save_image)
 from .errors import (
     ConfigError,
     ContainerError,
@@ -46,7 +46,7 @@ from .errors import (
 )
 from .masks import MASK_KINDS, PRESETS, load_mask, mask_summary, save_mask
 from .metrics import PSNR_TEXT_CAP, evaluate, psnr
-from .operators import SensitivitySet
+from .operators import SensitivitySet, _check_geometry
 from .phantoms import PHANTOM_KINDS, make_phantom, simulate_case
 from .priors import _check_weight, make_prior
 from .sensitivity import estimate_maps
@@ -164,6 +164,17 @@ def _load_finite(path, what, load=load_image, expect_kind=None):
     return arr
 
 
+def _present(path):
+    """Whether the payload or the sidecar is at path: half a container is not absent."""
+    return path.exists() or _sidecar(path).exists()
+
+
+def _check_gt_shape(gt_path, gt, shape, what):
+    if gt.shape != shape:
+        raise ShapeError(f"{gt_path} holds a ground truth of shape {gt.shape}, "
+                         f"not the {shape} of {what}")
+
+
 def _load_sens(path):
     maps = _load_finite(path, "sensitivity map", load_array, expect_kind="sens")
     try:
@@ -246,11 +257,22 @@ def _load_case(case_dir, estimate_sens):
     case = Path(case_dir)
     y, _ = load_array(case / "kspace", expect_kind="kspace")
     mask = load_mask(case / "mask")
-    if estimate_sens or not (case / "sens").exists():
+    if estimate_sens or not _present(case / "sens"):
         sens = estimate_maps(y, mask.acs_width, mask=mask)
     else:
         sens = _load_sens(case / "sens")
+    # before any solve: a sweep would report a bad case as a failed row per combo
+    _check_geometry(sens, mask, coils=y)
     return y, sens, mask, case
+
+
+def _load_gt(case, sens):
+    """The case's ground truth, checked against the maps; None if it has none."""
+    if not _present(case / "gt"):
+        return None
+    gt = _load_finite(case / "gt", "ground truth")
+    _check_gt_shape(case / "gt", gt, sens.shape, "the maps")
+    return gt
 
 
 def _write_objective_log(path, state, extra):
@@ -291,9 +313,8 @@ def cmd_recon(args):
     fields = _read_kv_file(args.config) if args.config else {}
     config = _build_solver_config(fields)
     y, sens, mask, case = _load_case(args.case, args.estimate_sens)
+    gt = _load_gt(case, sens)
     out = Path(args.out) if args.out else case / "recon"
-    gt_path = case / "gt"
-    gt = _load_finite(gt_path, "ground truth") if gt_path.exists() else None
     out.parent.mkdir(parents=True, exist_ok=True)
     _run_recon(y, sens, mask, config, out, gt=gt)
     _write_manifest(
@@ -327,7 +348,10 @@ def _print_table(rows):
 def _eval_pair(recon_path, gt_path, sens_path=None):
     gt = _load_finite(gt_path, "ground truth")
     rec = _load_finite(recon_path, "reconstruction")
+    _check_gt_shape(gt_path, gt, rec.shape, recon_path)
     support = None if sens_path is None else _load_sens(sens_path).support
+    if support is not None:
+        _check_gt_shape(gt_path, gt, support.shape, sens_path)
     return evaluate(rec, gt, support=support)
 
 
@@ -372,7 +396,7 @@ def cmd_sweep(args):
     y, sens, mask, case = _load_case(args.case, args.estimate_sens)
     if not (case / "gt").exists():
         raise ConfigError(f"sweep needs {case / 'gt'} for scoring")
-    gt = _load_finite(case / "gt", "ground truth")
+    gt = _load_gt(case, sens)
     combos = _expand_grid(fields)
     out_root = Path(args.out) if args.out else case / "sweep"
     out_root.mkdir(parents=True, exist_ok=True)

@@ -43,7 +43,7 @@ def estimate_maps(ksp, acs_width, mask=None, apodize=True):
     if mask is not None:
         if (mask.height, mask.width) != (h, w):
             raise ShapeError(
-                f"mask ({mask.height}, {mask.width}) does not match data ({h}, {w})"
+                f"mask ({mask.height}, {mask.width}) does not match k-space ({h}, {w})"
             )
         if not mask.line_selected[cols].all():
             raise EstimationError(

@@ -17,21 +17,17 @@ Every block is therefore minimized exactly (TV up to its duality gap),
 so F is non-increasing across iterations for every v as
 long as alpha, beta and lam stay constant.
 
-m_l lives in image domain. The DC step works on one coil stack in place:
-it writes S_l x there, transforms it along W (F_W, full width), reads
-k = F_s(S_l x) on the sampled columns s through the centered H transform
-F_H, writes F_H^-1 k_new over those columns and transforms back along W.
-Those columns held F_H^-1 k, so with dk = k_new - k
+m_l lives in image domain. The DC step writes S_l x into one coil stack
+and transforms it in place with the sampled-column pair of
+``transforms``: the forward leaves F_W S_l x in the stack and returns
+k = F_s(S_l x) on the sampled columns s, and the inverse writes
+F_H^-1 k_new over those columns, which held F_H^-1 k, and transforms
+back along W. With dk = k_new - k
 
-    m_l = F_W^-1 (F_W S_l x + U_W^H F_H^-1 dk) = S_l x + F^H U^H dk,
+    m_l = F_W^-1 (F_W S_l x + U_W^H F_H^-1 dk) = S_l x + F^H U^H dk
 
-a correction on the sampled lines added to S_l x (to round-off), so no
-full 2D transform of the coil stack is made and no second stack is
-allocated. The sampled columns are read and written through one flat
-index of the stack, built once per solve, that also folds in the H
-centering: it gathers the rows in FFT order and scatters them back, so
-k, y and k_new are all held in FFT row order, the H transforms run in
-place on the gathered (Nc, H, n) array, and no shifted copy is made.
+to round-off, with no full 2D transform and no second stack. k, y and
+k_new are held in the pair's FFT row order.
 
 ``solve`` checks y, the mask and the blend once, at entry, and gathers
 the measured sampled columns there. Its start, m_0 = S x_0 and z_0 = x_0
@@ -62,7 +58,8 @@ import numpy as np
 from .errors import ConfigError, DivergenceError, ProtocolError, ShapeError
 from .operators import _check_geometry, _combine, zero_filled
 from .priors import Prior, _check_count, _check_weight
-from .transforms import _columns, _sampled_index, fft2c, l2_norm
+from .transforms import (_columns, _sampled_forward, _sampled_index,
+                         _sampled_inverse, fft2c, l2_norm)
 
 
 def _as_schedule(value, name, t_total, allow_zero):
@@ -149,15 +146,13 @@ class SolverState:
 class _Data:
     """y on the sampled bins and the checked blend v, gathered once.
 
-    The (Nc, H, n_selected) bins of the sampled columns s are in FFT row
-    order, the order the DC step transforms them in: y_s[l, i, j] is
-    y[l, (i + H//2) % H, s_j]. ``g`` reads the bins in that order from a W
-    spectrum (``transforms._sampled_index``), ``phase`` is the columns'
-    W-centering phase (``transforms._columns``) and ``k_new`` receives the
-    bins each DC step moves to, so a record serves one solve at a time. v
-    is a 0-d float64 array, or a v_map's (H, n_selected) sampled entries in
-    the same order, so w promotes complex64 data alike in both cases and
-    broadcasts against the bins.
+    y_s holds the (Nc, H, n) bins of the sampled columns s in FFT row
+    order, y_s[l, i, j] = y[l, (i + H//2) % H, s_j], as the sampled-column
+    pair of ``transforms`` reads them through the flat index ``g`` with
+    ``phase``. Each DC step leaves its new bins in ``k_new``, so a record
+    serves one solve at a time. v is a 0-d float64 array or a v_map's
+    (H, n) sampled entries in the same order, so w promotes complex64 data
+    alike in both cases and broadcasts against the bins.
     """
 
     s: np.ndarray
@@ -184,8 +179,7 @@ class _Data:
 
     def centered_misfit(self, k):
         """``misfit`` of the centered bins k, such as fft2c(..., s) returns."""
-        return self.misfit(np.ascontiguousarray(np.fft.ifftshift(k, axes=-2),
-                                                dtype=complex))
+        return self.misfit(np.fft.ifftshift(k, axes=-2).astype(complex, copy=False))
 
 
 def _gather(y, sens, mask, v):
@@ -202,8 +196,7 @@ def _gather(y, sens, mask, v):
                  g, phase, np.empty(g.shape, dtype=complex))
 
 
-def dc_update(x_prev, y, sens, mask, alpha, v=1.0, k_dc=None, *, data=None,
-              out=None):
+def dc_update(x_prev, y, sens, mask, alpha, v=1.0, *, data=None, out=None):
     """Per-coil data-consistency step, solved bin by bin in k-space.
 
     With k = fft2c(S_l * x_prev) on the sampled columns, each sampled bin
@@ -211,45 +204,30 @@ def dc_update(x_prev, y, sens, mask, alpha, v=1.0, k_dc=None, *, data=None,
     exact minimizer of the coil subproblem under the data weight
     w = v*alpha/(alpha + 1 - v) that ``objective`` applies for the same
     blend v (w = 1 at v = 1, exact consistency); unsampled bins keep k.
-    Returns per-coil images S_l * x_prev plus the inverse transform of
-    that change on the sampled columns, computed in one coil stack: ``out``,
-    a caller-owned C-contiguous complex128 (Nc, H, W) buffer, if given (its
-    contents are overwritten), else a new one. The new sampled bins are
-    left in FFT row order in the record's ``k_new`` and copied, centered,
-    into ``k_dc``, a caller-owned buffer, if given. ``data`` is the record
-    ``solve`` gathers once from (y, mask, v); without it they are checked
-    here. The stack's sampled columns are read and written through the
-    record's flat index, which folds in the H shifts (module docstring).
+    Returns S_l * x_prev plus the inverse transform of that change, in one
+    coil stack: ``out`` (a C-contiguous complex128 (Nc, H, W) buffer whose
+    contents are overwritten) if given, else a new one. ``data`` is the
+    record ``solve`` gathers once from (y, mask, v), else gathered here;
+    its ``k_new`` receives the new sampled bins, in FFT row order.
     """
     if data is None:
         data = _gather(y, sens, mask, v)
     alpha = _check_weight(alpha, "alpha")
-    for name, buf, shape in (("k_dc", k_dc, data.g.shape),
-                             ("out", out, sens.maps.shape)):
-        if buf is not None and (buf.shape != shape or buf.dtype != np.complex128):
-            raise ShapeError(f"{name} must be complex128 of shape {shape}")
+    if out is not None and (out.shape, out.dtype) != (sens.maps.shape, complex):
+        raise ShapeError(f"out must be complex128 of shape {sens.maps.shape}")
     if out is not None and not out.flags.c_contiguous:
         # its flat view would be a copy, and the scatter into it lost
         raise ShapeError("out must be C-contiguous")
     _check_geometry(sens, image=x_prev)
     w = data.weight(alpha)
     m = np.multiply(sens.maps, x_prev, out=out)
-    np.fft.fft(m, axis=-1, norm="ortho", out=m)
-    m_flat = m.reshape(-1)
-    k = m_flat.take(data.g)
-    k *= data.phase
-    np.fft.fft(k, axis=-2, norm="ortho", out=k)
+    k = _sampled_forward(m, data.g, data.phase, out=m)
     # k_new = k + w/(w + alpha)*(y - k)
     k_new = np.subtract(data.y_s, k, out=data.k_new)
     k_new *= w / (w + alpha)
     k_new += k
-    np.fft.ifft(k_new, axis=-2, norm="ortho", out=k)
-    k *= np.conj(data.phase)
     # the sampled columns of F_W(S x) held F_H^-1 k: replacing them adds the change
-    m_flat[data.g] = k
-    if k_dc is not None:
-        k_dc[...] = np.fft.fftshift(k_new, axes=-2)
-    return np.fft.ifft(m, axis=-1, norm="ortho", out=m)
+    return _sampled_inverse(k_new, data.g, data.phase, m, out=k)
 
 
 def x_update(z, m, sens, alpha, beta):

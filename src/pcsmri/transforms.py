@@ -8,31 +8,25 @@ Conventions used throughout the package:
   (H // 2, W // 2), matching how sampling masks are displayed;
 * the transform pair is unitary (norm="ortho"), so fft2c/ifft2c are
   exact adjoints and inverses of each other and preserve the l2 norm.
-  The closed-form data-consistency update relies on this. Each transform
-  runs in place on a private shifted copy, so its input is never touched.
+  The closed-form data-consistency update relies on this. No transform
+  writes to its input.
 
 Both transforms take an optional ``lines``: one bool flag per k-space
 column, shape (W,), such as ``SamplingMask.line_selected``. Then
 ``fft2c(img, lines)`` returns only the n flagged columns, shape
-(..., H, n), and ``ifft2c(ksp, lines)`` takes those n columns and treats
-every other column as zero. Each costs one full-size 1-D FFT along W and
-an H-axis FFT of the n columns only. The W centering becomes a phase per
-column, exactly +-1 for even W, and the H shifts move only the (..., H, n)
-columns, so no full-grid shift is made. Results agree with the full
-transform followed by (or preceded by zero-filling to) the flagged
-columns to round-off. The column phase and the H centering are decided
-here only: ``_columns`` gives the phase, ``_h_forward``/``_h_inverse``
-shift the columns these transforms take, and ``_sampled_index`` builds
-the flat index through which the solver's in-place data-consistency
-step gathers the columns of its own W spectrum with the H shift folded
-in, in FFT row order, and scatters them back.
+(..., H, n), and ``ifft2c(ksp, lines)`` takes those, every other
+column being zero; both agree with the full transforms to round-off. They
+and the solver's data-consistency step share one private pair:
+``_sampled_forward`` runs a full-size FFT along W, gathers the columns
+through a flat index (``_sampled_index``) that reads the rows in FFT
+order, folding in the H centering, applies the W-centering phase of
+``_columns`` and runs the H FFT in place on the gathered bins, left in
+FFT row order; ``_sampled_inverse`` undoes each step in reverse.
 """
 
 import numpy as np
 
 from .errors import ShapeError
-
-_AXES = (-2, -1)
 
 
 def _checked(x, name):
@@ -44,11 +38,11 @@ def _checked(x, name):
     return x
 
 
-def _centered(transform, x, axes=_AXES):
-    buf = np.fft.ifftshift(x, axes=axes)
+def _centered(transform, x):
+    buf = np.fft.ifftshift(x, axes=(-2, -1))
     buf = buf.astype(np.result_type(buf, np.complex64), copy=False)
-    transform(buf, axes=axes, norm="ortho", out=buf)
-    return np.fft.fftshift(buf, axes=axes)
+    transform(buf, axes=(-2, -1), norm="ortho", out=buf)
+    return np.fft.fftshift(buf, axes=(-2, -1))
 
 
 def _columns(lines, width=None):
@@ -69,38 +63,41 @@ def _columns(lines, width=None):
 
 
 def _sampled_index(columns, shape):
-    """Flat index of the (Nc, H, n) bins of n columns of a C-ordered (Nc, H, W) stack.
+    """Flat index of the (..., H, n) bins of n columns of a C-ordered (..., H, W) stack.
 
-    Entry [l, i, j] addresses element (l, (i + H//2) % H, columns[j]): row
-    i is in FFT order, so gathering through it applies the H ifftshift of
-    ``_h_forward`` to the columns, and scattering results back through it
-    undoes that shift, for odd and even H. The columns are the uncentered
-    frequencies f of ``_columns`` in a W spectrum, or the flagged indices
-    themselves in centered k-space.
+    Entry [..., i, j] addresses element (..., (i + H//2) % H, columns[j]):
+    rows in FFT order, so a gather applies the H ifftshift and a scatter
+    undoes it. The columns are the frequencies f of ``_columns`` in a W
+    spectrum, or the flagged indices themselves in centered k-space.
     """
-    n_coils, height, width = shape
+    *batch, height, width = shape
     rows = (np.arange(height) + height // 2) % height
-    return ((np.arange(n_coils)[:, None, None] * height + rows[:, None]) * width
-            + columns)
+    planes = np.arange(np.prod(batch, dtype=int)).reshape(*batch, 1, 1)
+    return (planes * height + rows[:, None]) * width + columns
 
 
-def _h_forward(cols, phase):
-    """Centered k-space bins of columns taken from an uncentered W spectrum.
+def _sampled_forward(x, index, phase, out=None):
+    """C-contiguous bins, in FFT row order, of the columns f of a (..., H, W) stack x.
 
-    ``cols`` is ``spectrum[..., f]`` for the unitary FFT along W and the
-    (f, phase) of ``_columns``, shape (..., H, n); it is overwritten. The
-    caller takes the columns, so a temporary spectrum is freed before the
-    H transform allocates.
+    ``index`` and ``phase`` are those of f (``_sampled_index(f, x.shape)``,
+    ``_columns``); x's W spectrum goes to ``out`` (x itself: in place).
     """
-    cols *= phase
-    return _centered(np.fft.fftn, cols, axes=(-2,))
+    spectrum = np.fft.fft(x, axis=-1, norm="ortho", out=out)
+    k = spectrum.reshape(-1).take(index)
+    k *= phase
+    return np.fft.fft(k, axis=-2, norm="ortho", out=k)
 
 
-def _h_inverse(ksp, phase):
-    """Inverse of ``_h_forward``: the W-spectrum columns f of the bins ksp."""
-    cols = _centered(np.fft.ifftn, ksp, axes=(-2,))
+def _sampled_inverse(k, index, phase, stack, out):
+    """Inverse of ``_sampled_forward`` into ``stack``, a C-contiguous W spectrum.
+
+    The H inverse of k goes to ``out`` and over the indexed columns; the
+    other columns keep what the stack held. Returns the stack, in place.
+    """
+    cols = np.fft.ifft(k, axis=-2, norm="ortho", out=out)
     cols *= np.conj(phase)
-    return cols
+    stack.reshape(-1)[index] = cols
+    return np.fft.ifft(stack, axis=-1, norm="ortho", out=stack)
 
 
 def fft2c(img, lines=None):
@@ -112,7 +109,8 @@ def fft2c(img, lines=None):
     if lines is None:
         return _centered(np.fft.fftn, x)
     _, f, phase = _columns(lines, x.shape[-1])
-    return _h_forward(np.fft.fft(x, axis=-1, norm="ortho")[..., f], phase)
+    k = _sampled_forward(x, _sampled_index(f, x.shape), phase)
+    return np.fft.fftshift(k, axes=-2)
 
 
 def ifft2c(ksp, lines=None):
@@ -126,14 +124,13 @@ def ifft2c(ksp, lines=None):
     width, f, phase = _columns(lines)
     ksp = np.asarray(ksp)
     if ksp.ndim < 2 or ksp.shape[-2] == 0 or ksp.shape[-1] != f.size:
-        raise ShapeError(
-            f"k-space columns {ksp.shape} do not match the {f.size} flagged lines"
-        )
+        raise ShapeError(f"k-space columns {ksp.shape} do not match the "
+                         f"{f.size} flagged lines")
     # allocated before the small temporaries, so that it can take the place
     # of a freed full-size array instead of growing the heap
     img = np.zeros((*ksp.shape[:-1], width), np.result_type(ksp, np.complex64))
-    img[..., f] = _h_inverse(ksp, phase)
-    return np.fft.ifft(img, axis=-1, norm="ortho", out=img)
+    k = np.fft.ifftshift(ksp, axes=-2).astype(img.dtype, copy=False)
+    return _sampled_inverse(k, _sampled_index(f, img.shape), phase, img, out=k)
 
 
 def l2_norm(x):

@@ -714,6 +714,73 @@ def test_interrupted_objective_log_write_keeps_previous_log(tmp_path,
     assert f"'{tmp_path / 'nodir' / 'ph'}'" in err and ".tmp" not in err
 
 
+# the commands that read each input file, and the words naming it
+_READERS = {
+    "kspace": ("sense", "recon", "sweep"),
+    "sens": ("recon", "sweep", "eval"),
+    "mask": ("sense", "recon", "sweep"),
+    "gt": ("recon", "sweep", "eval"),
+    "recon": ("eval",),
+    "v_map": ("recon",),
+}
+_NAMED_AS = {
+    "kspace": ("kspace", "k-space"),
+    "sens": ("sens", "maps"),
+    "mask": ("mask",),
+    "gt": ("gt", "ground truth"),
+    "recon": ("recon", "reconstruction"),
+    "v_map": ("v_map",),
+}
+_CORRUPTIONS = [(name, command, how) for name, commands in _READERS.items()
+                for command in commands
+                for how in ("truncated", "missing-payload", "wrong-shape")
+                + (("wrong-kind",) if name in ("kspace", "sens") else ())]
+
+
+@pytest.mark.parametrize("name,command,how", _CORRUPTIONS,
+                         ids=["-".join(cell) for cell in _CORRUPTIONS])
+def test_a_corrupt_input_exits_2_or_3_naming_it(tmp_path, capsys, name,
+                                                command, how):
+    case = small_case_dir(tmp_path)
+    other = small_case_dir(tmp_path / "other", size="24")  # a valid 24² case
+    save_image(tmp_path / "recon", np.ones((32, 32)), kind="recon")
+    save_image(tmp_path / "v_map", np.full((32, 32), 0.5), kind="image")
+    path = {"recon": tmp_path / "recon", "v_map": tmp_path / "v_map"}.get(
+        name, case / name)
+    if how == "truncated":
+        path.write_bytes(path.read_bytes()[:-8])
+    elif how == "missing-payload":
+        path.unlink()
+    elif how == "wrong-shape" and name in ("recon", "v_map"):
+        save_image(path, np.full((24, 24), 0.5), kind="image")
+    elif how == "wrong-shape":
+        for suffix in ("", ".hdr"):
+            Path(f"{path}{suffix}").write_bytes(
+                Path(f"{other / name}{suffix}").read_bytes())
+    else:
+        arr, _ = load_array(path)
+        save_array(path, arr, kind="image")
+    config = write_config(tmp_path / "cfg", {"iterations": "2"} | (
+        {"v_map": tmp_path / "v_map"} if name == "v_map" else {}))
+    argv = {
+        "sense": ["--kspace", case / "kspace", "--mask", case / "mask",
+                  "--out", tmp_path / "out"],
+        "recon": ["--case", case, "--config", config],
+        "sweep": ["--case", case, "--grid", write_config(tmp_path / "grid", {
+            "prior": "tikhonov", "lambda": "0.01,0.02", "iterations": "2"})],
+        "eval": ["--recon", tmp_path / "recon", "--gt", case / "gt",
+                 "--sens", case / "sens", "--report", tmp_path / "report.csv"],
+    }[command]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run_cli(command, *argv) in (2, 3)
+    out, err = capsys.readouterr()
+    # the temporary directory's name repeats the test parameters
+    err = err.replace(str(tmp_path), "")
+    assert out == "" and any(word in err for word in _NAMED_AS[name]), err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_missing_inputs_exit_3(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

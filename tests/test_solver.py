@@ -664,22 +664,33 @@ def test_objective_history_matches_recomputation_without_buffer(v):
     # the 2-iteration solve stops at the full solve's third iterate
     np.testing.assert_array_equal(early.x, full.x_history[2])
     for state, t in ((full, 5), (early, 2)):
-        # no k_dc: the data term comes from fft2c(state.m)
+        # the data term comes from fft2c(state.m)
         recomputed = objective(state, y, sens, mask, 0.8, 1.2, 0.01, prior, v)
         assert recomputed == pytest.approx(full.objective_history[t], rel=1e-12)
 
 
-def test_dc_update_fills_the_k_dc_buffer():
+def _new_bins(k, y, s, alpha, v):
+    """k + w/(w + alpha)*(y - k) on the sampled columns s, centered."""
+    v_s = v[:, s] if np.ndim(v) else v
+    weight = v_s * alpha / (alpha + 1.0 - v_s)
+    return k + weight / (weight + alpha) * (y[..., s] - k)
+
+
+def test_dc_update_leaves_the_new_bins_in_the_record():
     rng, sens, mask, x, y = _instance(16)
     s = mask.line_selected
-    k_dc = np.full(y.shape[:-1] + (mask.n_selected,), np.nan, dtype=complex)
+    k = fft2c(sens.maps * x, s)
     for v in (1.0, 0.35, rng.uniform(0.0, 1.0, (8, 8))):
-        m = dc_update(x, y, sens, mask, 0.7, v, k_dc)
+        data = _gather(y, sens, mask, v)
+        data.k_new[...] = np.nan
+        m = dc_update(x, y, sens, mask, 0.7, v, data=data)
         np.testing.assert_array_equal(m, dc_update(x, y, sens, mask, 0.7, v))
-        np.testing.assert_allclose(k_dc, fft2c(m)[..., s], rtol=0, atol=1e-12)
-    for bad in (k_dc[:1], k_dc[..., :-1], k_dc.astype(np.complex64)):
-        with pytest.raises(ShapeError, match="k_dc must be complex128"):
-            dc_update(x, y, sens, mask, 0.7, 1.0, bad)
+        # the returned stack reads back the new bins, which the record
+        # holds in FFT row order
+        k_new = _new_bins(k, y, s, 0.7, v)
+        for got in (fft2c(m, s), fft2c(m)[..., s],
+                    np.fft.fftshift(data.k_new, axes=-2)):
+            np.testing.assert_allclose(got, k_new, rtol=0, atol=1e-12)
     out = np.empty(sens.maps.shape, dtype=complex)
     for bad in (out[:1], out[..., :-1], out.astype(np.complex64), out[0]):
         with pytest.raises(ShapeError, match="out must be complex128"):
@@ -692,15 +703,18 @@ def test_dc_update_with_the_solve_record_is_bit_identical():
     for y, v in itertools.product((y, y.astype(np.complex64)),
                                   (1.0, 0.0, 0.35, rng.uniform(0.0, 1.0, (8, 8)))):
         data = _gather(y, sens, mask, v)
-        k_plain = np.empty(data.y_s.shape, dtype=complex)
-        m = dc_update(x, y, sens, mask, 0.7, v, k_plain)
+        m = dc_update(x, y, sens, mask, 0.7, v, data=data)
+        k_plain = data.k_new.copy()
         # with and without the record, into a fresh or a used coil stack
-        for record, reuse in itertools.product((None, data), (False, True)):
-            k_dc = np.full_like(k_plain, np.nan)
+        for gathered, reuse in itertools.product((False, True), (False, True)):
+            record = _gather(y, sens, mask, v) if gathered else None
+            if gathered:
+                record.k_new[...] = np.nan
             out = np.full_like(m, np.nan) if reuse else None
-            got = dc_update(x, y, sens, mask, 0.7, v, k_dc, data=record, out=out)
+            got = dc_update(x, y, sens, mask, 0.7, v, data=record, out=out)
             np.testing.assert_array_equal(got, m)
-            np.testing.assert_array_equal(k_dc, k_plain)
+            if gathered:
+                np.testing.assert_array_equal(record.k_new, k_plain)
             assert got is out if reuse else got is not m
         if np.ndim(v) == 0:
             # a scalar blend weighs complex64 data in double, as a v_map does
@@ -736,21 +750,17 @@ def test_dc_update_flat_index_matches_the_line_transforms(h, w, n_coils, v_map,
     y = forward(x + random_complex(rng, (h, w)), sens, mask)
     y = y.astype(np.complex64) if complex64 else y
     v = rng.uniform(0.0, 1.0, (h, w)) if v_map else rng.uniform(0.0, 1.0)
-    k_plain = np.empty((n_coils, h, mask.n_selected), dtype=complex)
-    m = dc_update(x, y, sens, mask, alpha, v, k_plain)
+    m = dc_update(x, y, sens, mask, alpha, v)
     # with the solve's record, into a used coil stack: the same bits
-    k_dc, out = np.full_like(k_plain, np.nan), np.full_like(m, np.nan)
-    got = dc_update(x, y, sens, mask, alpha, v, k_dc,
-                    data=_gather(y, sens, mask, v), out=out)
+    data, out = _gather(y, sens, mask, v), np.full_like(m, np.nan)
+    got = dc_update(x, y, sens, mask, alpha, v, data=data, out=out)
     np.testing.assert_array_equal(got, m)
-    np.testing.assert_array_equal(k_dc, k_plain)
-    # k_dc holds the centered bins k + w/(w + alpha)*(y - k), and m adds
-    # the inverse transform of their change to S x
+    # the record holds the new bins k + w/(w + alpha)*(y - k), fft2c reads
+    # them back from m, and m adds the inverse transform of their change to S x
     k = fft2c(sens.maps * x, s)
-    v_s = v[:, s] if v_map else v
-    weight = v_s * alpha / (alpha + 1.0 - v_s)
-    k_new = k + weight / (weight + alpha) * (y[..., s] - k)
-    np.testing.assert_allclose(k_plain, k_new, rtol=0, atol=1e-12)
+    k_new = _new_bins(k, y, s, alpha, v)
+    for bins in (np.fft.fftshift(data.k_new, axes=-2), fft2c(m, s)):
+        np.testing.assert_allclose(bins, k_new, rtol=0, atol=1e-12)
     np.testing.assert_allclose(m, sens.maps * x + ifft2c(k_new - k, s), rtol=0,
                                atol=1e-12)
 

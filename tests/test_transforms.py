@@ -168,6 +168,7 @@ def test_lines_restrict_the_full_transforms(batch, h, w, kind, seed):
 
     got = fft2c(x, lines)
     assert got.shape == k.shape and got.dtype == np.complex128
+    assert got.flags.c_contiguous
     # full transform, then select the flagged columns
     assert l2_norm(got - fft2c(x)[..., lines]) <= scale
     back = ifft2c(k, lines)
@@ -194,6 +195,7 @@ def test_lines_keep_single_precision(shape):
     got = fft2c(x, lines)
     back = ifft2c(got, lines)
     assert got.dtype == back.dtype == np.complex64
+    assert got.flags.c_contiguous
     want = fft2c(x.astype(np.complex128))[..., lines]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * np.abs(want).max())
 
