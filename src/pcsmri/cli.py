@@ -154,13 +154,20 @@ def _write_manifest(path, command, pairs):
                   [("command", command), ("version", __version__), *pairs])
 
 
-def _load_finite(path, what, load=load_image, expect_kind=None):
-    """``load``'s array at path; ContainerError naming path unless it is finite."""
+def _read(path, what, shape=None, of=None, load=load_image, expect_kind=None):
+    """``load``'s array at path if finite and, given ``shape``, of ``of``'s shape.
+
+    Every input image and map set is read here, so its errors name the file:
+    ContainerError for non-finite values, ShapeError for another shape.
+    """
     arr, _ = load(path, expect_kind=expect_kind)
     bad = np.count_nonzero(~np.isfinite(arr))
     if bad:
         raise ContainerError(
             f"{path} holds non-finite {what} values ({bad} of {arr.size})")
+    if shape is not None and arr.shape != shape:
+        raise ShapeError(f"{path} holds a {what} of shape {arr.shape}, "
+                         f"not the {shape} of {of}")
     return arr
 
 
@@ -169,14 +176,8 @@ def _present(path):
     return path.exists() or _sidecar(path).exists()
 
 
-def _check_gt_shape(gt_path, gt, shape, what):
-    if gt.shape != shape:
-        raise ShapeError(f"{gt_path} holds a ground truth of shape {gt.shape}, "
-                         f"not the {shape} of {what}")
-
-
 def _load_sens(path):
-    maps = _load_finite(path, "sensitivity map", load_array, expect_kind="sens")
+    maps = _read(path, "sensitivity map", load=load_array, expect_kind="sens")
     try:
         return SensitivitySet(maps, np.sum(np.abs(maps) ** 2, axis=0) > 0.5)
     except ConfigError as exc:
@@ -253,7 +254,13 @@ def cmd_simulate(args):
     return 0
 
 
-def _load_case(case_dir, estimate_sens):
+def _load_case(case_dir, estimate_sens, configs):
+    """The case's y, maps, mask and gt (None if absent), judged before any solve.
+
+    The files are checked against each other and each config's blend
+    against the maps, so that a sweep never reports a bad case or grid as
+    a failed row per combo.
+    """
     case = Path(case_dir)
     y, _ = load_array(case / "kspace", expect_kind="kspace")
     mask = load_mask(case / "mask")
@@ -261,18 +268,12 @@ def _load_case(case_dir, estimate_sens):
         sens = estimate_maps(y, mask.acs_width, mask=mask)
     else:
         sens = _load_sens(case / "sens")
-    # before any solve: a sweep would report a bad case as a failed row per combo
     _check_geometry(sens, mask, coils=y)
-    return y, sens, mask, case
-
-
-def _load_gt(case, sens):
-    """The case's ground truth, checked against the maps; None if it has none."""
-    if not _present(case / "gt"):
-        return None
-    gt = _load_finite(case / "gt", "ground truth")
-    _check_gt_shape(case / "gt", gt, sens.shape, "the maps")
-    return gt
+    for config in configs:
+        _check_geometry(sens, blend=config.dc_blend_v)
+    gt = (_read(case / "gt", "ground truth", sens.shape, "the maps")
+          if _present(case / "gt") else None)
+    return y, sens, mask, case, gt
 
 
 def _write_objective_log(path, state, extra):
@@ -289,6 +290,8 @@ def _write_objective_log(path, state, extra):
 def _run_recon(y, sens, mask, config, out_path, gt=None):
     x, state = solve(y, sens, mask, config)
     out_path = Path(out_path)
+    # made only now, so that a failed solve leaves no directory behind
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     save_image(out_path, x, kind="recon")
     extra = []
     if gt is not None:
@@ -312,10 +315,8 @@ def _run_recon(y, sens, mask, config, out_path, gt=None):
 def cmd_recon(args):
     fields = _read_kv_file(args.config) if args.config else {}
     config = _build_solver_config(fields)
-    y, sens, mask, case = _load_case(args.case, args.estimate_sens)
-    gt = _load_gt(case, sens)
+    y, sens, mask, case, gt = _load_case(args.case, args.estimate_sens, [config])
     out = Path(args.out) if args.out else case / "recon"
-    out.parent.mkdir(parents=True, exist_ok=True)
     _run_recon(y, sens, mask, config, out, gt=gt)
     _write_manifest(
         out.parent / "recon_manifest.txt", "recon",
@@ -345,30 +346,24 @@ def _print_table(rows):
         print("  ".join(cell.ljust(w) for cell, w in zip(c, widths)))
 
 
-def _eval_pair(recon_path, gt_path, sens_path=None):
-    gt = _load_finite(gt_path, "ground truth")
-    rec = _load_finite(recon_path, "reconstruction")
-    _check_gt_shape(gt_path, gt, rec.shape, recon_path)
-    support = None if sens_path is None else _load_sens(sens_path).support
-    if support is not None:
-        _check_gt_shape(gt_path, gt, support.shape, sens_path)
-    return evaluate(rec, gt, support=support)
-
-
 def cmd_eval(args):
-    rows = []
     if args.case_dirs:
-        for case in sorted(Path(d) for d in args.case_dirs):
-            sens = case / "sens"
-            scores = _eval_pair(case / "recon", case / "gt",
-                                sens if sens.exists() else None)
-            rows.append(_format_row(case.name, args.method, scores))
-        rows.sort()
+        inputs = [(case.name, case / "recon", case / "gt",
+                  case / "sens" if _present(case / "sens") else None)
+                 for case in sorted(Path(d) for d in args.case_dirs)]
+    elif args.recon and args.gt:
+        inputs = [(args.case, args.recon, args.gt, args.sens)]
     else:
-        if not (args.recon and args.gt):
-            raise ConfigError("eval needs --recon and --gt, or --case-dirs")
-        scores = _eval_pair(args.recon, args.gt, args.sens)
-        rows.append(_format_row(args.case, args.method, scores))
+        raise ConfigError("eval needs --recon and --gt, or --case-dirs")
+    rows = []
+    for case, recon, gt, sens in inputs:
+        support = None if sens is None else _load_sens(sens).support
+        shape = None if support is None else support.shape
+        truth = _read(gt, "ground truth", shape, sens)
+        rec = _read(recon, "reconstruction", truth.shape, sens or gt)
+        rows.append(_format_row(case, args.method,
+                                evaluate(rec, truth, support=support)))
+    rows.sort()
     _print_table(rows)
     if args.report:
         _write_report(args.report, rows)
@@ -381,38 +376,36 @@ def _expand_grid(fields):
     return [dict(zip(keys, values)) for values in itertools.product(*lists)]
 
 
-def _sweep_one(index, combo, y, sens, mask, gt, out_root):
-    combo_dir = out_root / f"combo_{index:03d}"
-    combo_dir.mkdir(parents=True, exist_ok=True)
-    config = _build_solver_config(combo)
-    x, _ = _run_recon(y, sens, mask, config, combo_dir / "recon", gt=gt)
+def _sweep_one(index, config, y, sens, mask, gt, out_root):
+    x, _ = _run_recon(y, sens, mask, config,
+                      out_root / f"combo_{index:03d}" / "recon", gt=gt)
     return evaluate(x, gt, support=sens.support)
 
 
 def cmd_sweep(args):
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    fields = _read_kv_file(args.grid)
-    y, sens, mask, case = _load_case(args.case, args.estimate_sens)
-    if not (case / "gt").exists():
+    combos = _expand_grid(_read_kv_file(args.grid))
+    # the whole grid is judged as recon judges a config, before any solve or
+    # write: a nan row can only come from a failed solve
+    configs = [_build_solver_config(combo) for combo in combos]
+    y, sens, mask, case, gt = _load_case(args.case, args.estimate_sens, configs)
+    if gt is None:
         raise ConfigError(f"sweep needs {case / 'gt'} for scoring")
-    gt = _load_gt(case, sens)
-    combos = _expand_grid(fields)
     out_root = Path(args.out) if args.out else case / "sweep"
     out_root.mkdir(parents=True, exist_ok=True)
 
-    def run(indexed):
-        index, combo = indexed
-        label = ";".join(f"{k}={combo[k]}" for k in sorted(combo))
+    def run(index):
+        label = ";".join(f"{k}={v}" for k, v in sorted(combos[index].items()))
         try:
-            scores = _sweep_one(index, combo, y, sens, mask, gt, out_root)
+            scores = _sweep_one(index, configs[index], y, sens, mask, gt, out_root)
             return _format_row(case.name, label, scores), scores["psnr"], None
         except Exception as exc:
             row = f"{case.name},{label},nan,nan,nan,nan"
             return row, -math.inf, f"# error {label}: {exc}"
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(run, enumerate(combos)))
+        results = list(pool.map(run, range(len(configs))))
     rows = [row for row, _, _ in results]
     comments = [c for _, _, c in results if c]
     best_row, best_psnr, _ = max(results, key=lambda r: r[1])

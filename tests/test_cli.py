@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import FAIL_STUB, IDENTITY_STUB, NAN_STUB, make_stub
-from pcsmri import __version__
+from pcsmri import __version__, solver
 from pcsmri.cli import DEFAULT_LAMBDA, _build_solver_config, main
 from pcsmri.container import load_array, load_image, save_array, save_image
 from pcsmri.masks import PRESETS, load_mask, make_random_mask
@@ -91,6 +91,10 @@ def test_version_flag_and_module_entry(capsys):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert __version__ in proc.stdout
+    # __main__ exits with the code main returns, here a usage error's 2
+    proc = subprocess.run([sys.executable, "-m", "pcsmri", "recon"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and "--case" in proc.stderr
 
 
 def test_package_imports_only_numpy_and_the_stdlib():
@@ -420,6 +424,34 @@ def test_recon_with_an_overflowing_objective_exits_4(tmp_path, capsys):
     assert err.startswith("divergence:")
     assert "objective" in err and "iteration 0" in err
     assert not (case / "recon").exists() and not (case / "objective.log").exists()
+    # the directories of --out are made only once the solve has succeeded
+    assert run_cli("recon", "--case", case, "--config", config,
+                   "--out", tmp_path / "newdir" / "sub" / "recon") == 4
+    assert not (tmp_path / "newdir").exists()
+
+
+@pytest.mark.parametrize("target,step", [
+    ("dc_update", "data-consistency step"), ("x_update", "auxiliary update")])
+def test_a_block_update_that_goes_non_finite_is_named(tmp_path, capsys,
+                                                     monkeypatch, target, step):
+    case = small_case_dir(tmp_path)
+    real, calls = getattr(solver, target), []
+
+    def nan_at_iteration_2(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(target)
+        if len(calls) == 2:
+            out[..., 3, 4] = np.nan
+        return out
+
+    monkeypatch.setattr(solver, target, nan_at_iteration_2)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run_cli("recon", "--case", case,
+                   "--out", tmp_path / "newdir" / "recon") == 4
+    out, err = capsys.readouterr()
+    assert err == f"divergence: {step} produced non-finite values at iteration 2\n"
+    assert out == "" and sorted(tmp_path.rglob("*")) == before
 
 
 def test_recon_manifest_records_config_without_paths(tmp_path):
@@ -714,14 +746,15 @@ def test_interrupted_objective_log_write_keeps_previous_log(tmp_path,
     assert f"'{tmp_path / 'nodir' / 'ph'}'" in err and ".tmp" not in err
 
 
-# the commands that read each input file, and the words naming it
+# the commands that read each input file ("batch" is eval --case-dirs),
+# and the words naming it
 _READERS = {
     "kspace": ("sense", "recon", "sweep"),
-    "sens": ("recon", "sweep", "eval"),
+    "sens": ("recon", "sweep", "eval", "batch"),
     "mask": ("sense", "recon", "sweep"),
-    "gt": ("recon", "sweep", "eval"),
-    "recon": ("eval",),
-    "v_map": ("recon",),
+    "gt": ("recon", "sweep", "eval", "batch"),
+    "recon": ("eval", "batch"),
+    "v_map": ("recon", "sweep"),
 }
 _NAMED_AS = {
     "kspace": ("kspace", "k-space"),
@@ -734,7 +767,9 @@ _NAMED_AS = {
 _CORRUPTIONS = [(name, command, how) for name, commands in _READERS.items()
                 for command in commands
                 for how in ("truncated", "missing-payload", "wrong-shape")
-                + (("wrong-kind",) if name in ("kspace", "sens") else ())]
+                + (("wrong-kind",) if name in ("kspace", "sens") else ())
+                # an optional file with either half present counts as there
+                + (("missing-sidecar",) if name in ("sens", "gt") else ())]
 
 
 @pytest.mark.parametrize("name,command,how", _CORRUPTIONS,
@@ -743,14 +778,15 @@ def test_a_corrupt_input_exits_2_or_3_naming_it(tmp_path, capsys, name,
                                                 command, how):
     case = small_case_dir(tmp_path)
     other = small_case_dir(tmp_path / "other", size="24")  # a valid 24² case
-    save_image(tmp_path / "recon", np.ones((32, 32)), kind="recon")
+    save_image(case / "recon", np.ones((32, 32)), kind="recon")
     save_image(tmp_path / "v_map", np.full((32, 32), 0.5), kind="image")
-    path = {"recon": tmp_path / "recon", "v_map": tmp_path / "v_map"}.get(
-        name, case / name)
+    path = tmp_path / "v_map" if name == "v_map" else case / name
     if how == "truncated":
         path.write_bytes(path.read_bytes()[:-8])
     elif how == "missing-payload":
         path.unlink()
+    elif how == "missing-sidecar":
+        Path(f"{path}.hdr").unlink()
     elif how == "wrong-shape" and name in ("recon", "v_map"):
         save_image(path, np.full((24, 24), 0.5), kind="image")
     elif how == "wrong-shape":
@@ -760,20 +796,22 @@ def test_a_corrupt_input_exits_2_or_3_naming_it(tmp_path, capsys, name,
     else:
         arr, _ = load_array(path)
         save_array(path, arr, kind="image")
-    config = write_config(tmp_path / "cfg", {"iterations": "2"} | (
-        {"v_map": tmp_path / "v_map"} if name == "v_map" else {}))
+    v_map = {"v_map": tmp_path / "v_map"} if name == "v_map" else {}
+    config = write_config(tmp_path / "cfg", {"iterations": "2"} | v_map)
     argv = {
-        "sense": ["--kspace", case / "kspace", "--mask", case / "mask",
+        "sense": ["sense", "--kspace", case / "kspace", "--mask", case / "mask",
                   "--out", tmp_path / "out"],
-        "recon": ["--case", case, "--config", config],
-        "sweep": ["--case", case, "--grid", write_config(tmp_path / "grid", {
-            "prior": "tikhonov", "lambda": "0.01,0.02", "iterations": "2"})],
-        "eval": ["--recon", tmp_path / "recon", "--gt", case / "gt",
+        "recon": ["recon", "--case", case, "--config", config],
+        "sweep": ["sweep", "--case", case, "--grid", write_config(
+            tmp_path / "grid", {"prior": "tikhonov", "lambda": "0.01,0.02",
+                                "iterations": "2"} | v_map)],
+        "eval": ["eval", "--recon", case / "recon", "--gt", case / "gt",
                  "--sens", case / "sens", "--report", tmp_path / "report.csv"],
+        "batch": ["eval", "--case-dirs", case, "--report", tmp_path / "report.csv"],
     }[command]
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
-    assert run_cli(command, *argv) in (2, 3)
+    assert run_cli(*argv) in (2, 3)
     out, err = capsys.readouterr()
     # the temporary directory's name repeats the test parameters
     err = err.replace(str(tmp_path), "")
@@ -1006,8 +1044,10 @@ def test_eval_batch_rows_sorted_by_case(tmp_path, capsys):
     assert lines[1].startswith("alpha,hqs,")
     assert lines[2].startswith("zeta,hqs,")
 
-    # in batch mode a case without sens maps is scored on the full grid
+    # in batch mode a case without sens maps, neither payload nor sidecar,
+    # is scored on the full grid (half a container is a broken file, exit 3)
     (tmp_path / "zeta" / "sens").unlink()
+    (tmp_path / "zeta" / "sens.hdr").unlink()
     assert run_cli("eval", "--case-dirs", tmp_path / "zeta",
                    tmp_path / "alpha", "--report", report) == 0
     capsys.readouterr()
@@ -1085,8 +1125,9 @@ def test_sweep_grid_external_dir_runs_in_parallel(tmp_path, capsys):
 
 def test_sweep_bad_combo_yields_nan_row_and_comment(tmp_path, capsys):
     case = small_case_dir(tmp_path)
+    # lambda = 1e307 is a valid config whose solve overflows F at iteration 0
     grid = write_config(tmp_path / "grid", {
-        "prior": "tikhonov,curvelet", "iterations": "2"})
+        "prior": "tikhonov", "lambda": "0.01,1e307", "iterations": "2"})
     report = tmp_path / "report.csv"
     assert run_cli("sweep", "--case", case, "--grid", grid,
                    "--out", tmp_path / "sw", "--report", report) == 0
@@ -1094,19 +1135,48 @@ def test_sweep_bad_combo_yields_nan_row_and_comment(tmp_path, capsys):
     lines = report.read_text().splitlines()
     nan_rows = [l for l in lines if l.endswith("nan,nan,nan,nan")]
     assert len(nan_rows) == 1
-    assert "prior=curvelet" in nan_rows[0]
+    assert "lambda=1e307" in nan_rows[0]
     errors = [l for l in lines if l.startswith("# error")]
     assert len(errors) == 1
-    assert "unknown prior kind" in errors[0]
+    assert "objective produced non-finite values at iteration 0" in errors[0]
     best = [l for l in lines if l.startswith("# best:")]
     assert len(best) == 1
-    assert "prior=tikhonov" in best[0]
+    assert "lambda=0.01" in best[0]
+    # the failed solve leaves no combo directory behind
+    assert sorted(p.name for p in (tmp_path / "sw").iterdir()) == ["combo_000"]
+
+
+def test_sweep_refuses_a_grid_point_as_recon_refuses_its_config(tmp_path, capsys):
+    case = small_case_dir(tmp_path)
+    save_image(tmp_path / "vmap", np.full((24, 24), 0.5), kind="image")
+    for fields, message in (
+            ({"prior": "tikhonov,curvelet"}, "unknown prior kind"),
+            ({"v": "0.5,1.5"}, "dc_blend_v must lie in [0, 1]"),
+            ({"v_map": tmp_path / "vmap", "lambda": "0.01,0.02"},
+             "v_map shape (24, 24) does not match maps (32, 32)")):
+        grid = write_config(tmp_path / "grid", {"iterations": "2"} | fields)
+        bad = {key: str(value).split(",")[-1] for key, value in fields.items()}
+        config = write_config(tmp_path / "cfg", {"iterations": "2"} | bad)
+        capsys.readouterr()
+        assert run_cli("recon", "--case", case, "--config", config) == 2
+        recon_err = capsys.readouterr().err
+        assert run_cli("sweep", "--case", case, "--grid", grid,
+                       "--report", tmp_path / "report.csv") == 2
+        out, err = capsys.readouterr()
+        assert message in err and err == recon_err and out == ""
+    assert not (case / "sweep").exists() and not (case / "recon").exists()
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_sweep_without_ground_truth_exits_2(tmp_path, capsys):
     case = small_case_dir(tmp_path)
-    (case / "gt").unlink()
     grid = write_config(tmp_path / "grid", GRID_2X2)
+    # a ground truth whose payload alone is gone is broken, not absent
+    (case / "gt").unlink()
+    assert run_cli("sweep", "--case", case, "--grid", grid) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and str(case / "gt") in err
+    (case / "gt.hdr").unlink()
     assert run_cli("sweep", "--case", case, "--grid", grid) == 2
     assert f"sweep needs {case / 'gt'} for scoring" in capsys.readouterr().err
     assert not (case / "sweep").exists()
