@@ -46,11 +46,11 @@ from .errors import (
 )
 from .masks import MASK_KINDS, PRESETS, load_mask, mask_summary, save_mask
 from .metrics import PSNR_TEXT_CAP, evaluate, psnr
-from .operators import SensitivitySet, _check_geometry
+from .operators import SensitivitySet
 from .phantoms import PHANTOM_KINDS, make_phantom, simulate_case
 from .priors import _check_weight, make_prior
 from .sensitivity import estimate_maps
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, _admit, solve
 
 _CONFIG_KEYS = (
     "prior", "alpha", "beta", "lambda", "iterations", "v", "v_map",
@@ -257,9 +257,9 @@ def cmd_simulate(args):
 def _load_case(case_dir, estimate_sens, configs):
     """The case's y, maps, mask and gt (None if absent), judged before any solve.
 
-    The files are checked against each other and each config's blend
-    against the maps, so that a sweep never reports a bad case or grid as
-    a failed row per combo.
+    Each config is judged with the case as ``solve`` will judge it
+    (``solver._admit``), so that a sweep refuses a bad case or grid point
+    as ``recon`` does, before any write, and never as a failed row per combo.
     """
     case = Path(case_dir)
     y, _ = load_array(case / "kspace", expect_kind="kspace")
@@ -268,9 +268,8 @@ def _load_case(case_dir, estimate_sens, configs):
         sens = estimate_maps(y, mask.acs_width, mask=mask)
     else:
         sens = _load_sens(case / "sens")
-    _check_geometry(sens, mask, coils=y)
     for config in configs:
-        _check_geometry(sens, blend=config.dc_blend_v)
+        _admit(y, sens, mask, config)
     gt = (_read(case / "gt", "ground truth", sens.shape, "the maps")
           if _present(case / "gt") else None)
     return y, sens, mask, case, gt

@@ -87,7 +87,10 @@ class Prior:
         raise NotImplementedError
 
     def new_dual(self, shape):
-        """A zeroed ``dual`` buffer for images of this shape, or None."""
+        """A zeroed ``dual`` buffer for images of this shape, or None.
+
+        ShapeError for a shape the kind cannot filter (``solve`` asks first).
+        """
         return None
 
     def value(self, z):
@@ -135,6 +138,11 @@ def _block_sums(p, q, r, s):
             left_diff + right_diff, left_diff - right_diff)
 
 
+def _check_haar_shape(shape):
+    if len(shape) != 2 or shape[0] % 2 or shape[1] % 2:
+        raise ShapeError(f"Haar needs a 2D image of even dimensions, got {shape}")
+
+
 def haar2_forward(x):
     """Single-level orthonormal 2D Haar split into (ll, lh, hl, hh) bands.
 
@@ -142,8 +150,7 @@ def haar2_forward(x):
     before any sum, so the bands carry double-precision rounding only.
     """
     x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] % 2 or x.shape[1] % 2:
-        raise ShapeError(f"Haar needs a 2D image of even dimensions, got {x.shape}")
+    _check_haar_shape(x.shape)
     x = x.astype(np.result_type(x, np.float64), copy=False)
     return _block_sums(x[0::2, 0::2], x[0::2, 1::2], x[1::2, 0::2], x[1::2, 1::2])
 
@@ -167,6 +174,10 @@ class HaarPrior(Prior):
     """
 
     kind = "soft_threshold_haar"
+
+    def new_dual(self, shape):
+        _check_haar_shape(tuple(shape))
+        return None
 
     def _prox(self, x, beta, lam, dual):
         ll, *details = haar2_forward(x)

@@ -29,11 +29,13 @@ back along W. With dk = k_new - k
 to round-off, with no full 2D transform and no second stack. k, y and
 k_new are held in the pair's FFT row order.
 
-``solve`` checks y, the mask and the blend once, at entry, and gathers
-the measured sampled columns there. Its start, m_0 = S x_0 and z_0 = x_0
-(neither stored), has zero coupling and tie terms, so F_0 comes from that
-record and R(x_0). For t >= 1 it takes F from what the blocks hold, R(z_t)
-included: the prox reports it (``priors.ProxInfo``).
+``solve`` judges its input once, at entry, with ``_admit``, which the CLI
+also runs on every config before it writes anything: ``_gather`` checks y,
+the mask and the blend and gathers the measured sampled columns, and the
+prior's ``new_dual`` checks the image shape. The start, m_0 = S x_0 and
+z_0 = x_0 (neither stored), has zero coupling and tie terms, so F_0 comes
+from that record and R(x_0). For t >= 1 it takes F from what the blocks
+hold, R(z_t) included: the prox reports it (``priors.ProxInfo``).
 With r = k_new - y on the sampled bins the DC change is
 k_new - k = -(w/alpha) r, and x_update's closed form gives
 sum_l S_l^H m_l = ((beta + alpha E) x_t - beta z_t)/alpha with
@@ -97,7 +99,8 @@ class SolverConfig:
     """Penalty weights, iteration budget and prior for one solve.
 
     alpha, beta and lam accept either a scalar applied to every
-    iteration or a length-``iterations`` schedule. dc_blend_v is the
+    iteration or a length-``iterations`` schedule, with lam/beta finite at
+    every iteration (it is the prox threshold). dc_blend_v is the
     soft-consistency weight: 1 enforces exact agreement with measured
     bins, 0 ignores them; a per-pixel (H, W) map is also accepted.
     """
@@ -117,6 +120,11 @@ class SolverConfig:
         self.alpha = _as_schedule(self.alpha, "alpha", self.iterations, False)
         self.beta = _as_schedule(self.beta, "beta", self.iterations, False)
         self.lam = _as_schedule(self.lam, "lambda", self.iterations, True)
+        # lam/beta is every kind's prox threshold (TV's weight theta)
+        for t, (lam, beta) in enumerate(zip(self.lam, self.beta), start=1):
+            if not np.isfinite(lam / beta):
+                raise ConfigError(f"lambda/beta must be finite, got lambda = {lam} "
+                                  f"and beta = {beta} at iteration {t}")
         self.dc_blend_v = _check_blend(self.dc_blend_v)
 
     def params_at(self, t):
@@ -183,17 +191,44 @@ class _Data:
 
 
 def _gather(y, sens, mask, v):
-    """The record of y's sampled bins and the checked blend for mask.line_selected."""
+    """The record of y's sampled bins and the checked blend for mask.line_selected.
+
+    y must be measured data, as ``forward`` leaves it: ProtocolError names a
+    mask that selects no line, else the first unselected column where y is
+    nonzero or the first sampled bin where it is not finite.
+    """
     v = np.asarray(_check_blend(v))
     _check_geometry(sens, mask, coils=y, blend=v)
     s = mask.line_selected
+    if mask.n_selected == 0:
+        raise ProtocolError("mask selects no lines; nothing was measured")
+    stray = np.flatnonzero(~s & np.any(y, axis=(0, 1)))
+    if stray.size:
+        raise ProtocolError(f"k-space is nonzero on unsampled column {stray[0]} "
+                            f"({stray.size} such columns); zero them first")
     _, f, phase = _columns(s, mask.width)
     g = _sampled_index(f, sens.maps.shape)
     # y and a v_map are centered along W, so they are read at s itself
     at_s = _sampled_index(np.flatnonzero(s), sens.maps.shape)
-    return _Data(s, np.ravel(y).take(at_s),
-                 v if v.ndim == 0 else v.ravel().take(at_s[0]),
+    y_s = np.ravel(y).take(at_s)
+    if not np.all(np.isfinite(y_s)):
+        bad = np.argwhere(~np.isfinite(np.asarray(y)[..., s]))
+        coil, row, j = bad[0]
+        raise ProtocolError(
+            f"k-space is not finite at sampled bin (coil {coil}, row {row}, "
+            f"column {np.flatnonzero(s)[j]}) ({len(bad)} such bins)")
+    return _Data(s, y_s, v if v.ndim == 0 else v.ravel().take(at_s[0]),
                  g, phase, np.empty(g.shape, dtype=complex))
+
+
+def _admit(y, sens, mask, config):
+    """(record, dual) for a solve of config on (y, sens, mask): the one judge.
+
+    ``solve`` runs it at entry and the CLI on every config before it writes
+    anything, so ``sweep`` refuses what ``recon`` refuses, with its error.
+    """
+    return (_gather(y, sens, mask, config.dc_blend_v),
+            config.prior.new_dual(sens.shape))
 
 
 def dc_update(x_prev, y, sens, mask, alpha, v=1.0, *, data=None, out=None):
@@ -207,8 +242,9 @@ def dc_update(x_prev, y, sens, mask, alpha, v=1.0, *, data=None, out=None):
     Returns S_l * x_prev plus the inverse transform of that change, in one
     coil stack: ``out`` (a C-contiguous complex128 (Nc, H, W) buffer whose
     contents are overwritten) if given, else a new one. ``data`` is the
-    record ``solve`` gathers once from (y, mask, v), else gathered here;
-    its ``k_new`` receives the new sampled bins, in FFT row order.
+    record ``solve`` gathers once from (y, mask, v), else gathered (and y
+    judged) here; its ``k_new`` receives the new sampled bins, in FFT row
+    order.
     """
     if data is None:
         data = _gather(y, sens, mask, v)
@@ -251,7 +287,8 @@ def objective(state, y, sens, mask, alpha, beta, lam, prior, v=1.0):
     Sampled bins of the data term carry the weight w = v*alpha/(alpha +
     1 - v) for the DC blend v (1 for exact consistency). For the external
     prior R is unknown; the value is reported without the lam*R term
-    (state.objective_includes_prior records this).
+    (state.objective_includes_prior records this). y is judged as in
+    ``solve``.
     """
     data = _gather(y, sens, mask, v)
     alpha = _check_weight(alpha, "alpha")
@@ -314,23 +351,11 @@ def solve(y, sens, mask, config):
     coil stack m belong to this solve: TV warm-starts from the previous
     dual, and each DC step overwrites the previous m. A non-finite x or F
     raises DivergenceError naming the iteration.
-    y must be zero on the columns the mask did not sample, as ``forward``
-    leaves it, and finite on the sampled ones; ProtocolError names the
-    first column or bin where it is not.
+    Before any transform, ``_admit`` refuses a y that is not measured data
+    (ProtocolError naming its first bad column or bin) and an image shape
+    the prior cannot filter (ShapeError).
     """
-    data = _gather(y, sens, mask, config.dc_blend_v)
-    if mask.n_selected == 0:
-        raise ProtocolError("mask selects no lines; nothing was measured")
-    stray = np.flatnonzero(~data.s & np.any(y, axis=(0, 1)))
-    if stray.size:
-        raise ProtocolError(f"k-space is nonzero on unsampled column {stray[0]} "
-                            f"({stray.size} such columns); zero them first")
-    if not np.all(np.isfinite(data.y_s)):
-        bad = np.argwhere(~np.isfinite(np.asarray(y)[..., data.s]))
-        coil, row, j = bad[0]
-        raise ProtocolError(
-            f"k-space is not finite at sampled bin (coil {coil}, row {row}, "
-            f"column {np.flatnonzero(data.s)[j]}) ({len(bad)} such bins)")
+    data, dual = _admit(y, sens, mask, config)
     prior = config.prior
     x = zero_filled(y, sens)
     _check_finite(x, "initial estimate", 0)
@@ -345,7 +370,6 @@ def solve(y, sens, mask, config):
         penalty, alpha, beta, lam), 0)
     if config.record_history:
         state.x_history.append(x.copy())
-    dual = prior.new_dual(x.shape)
     for t in range(1, config.iterations + 1):
         alpha, beta, lam = config.params_at(t)
         x_prev = state.x

@@ -6,6 +6,7 @@ captured output; one subprocess test checks the module entry point.
 
 import hashlib
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,8 @@ from conftest import FAIL_STUB, IDENTITY_STUB, NAN_STUB, make_stub
 from pcsmri import __version__, solver
 from pcsmri.cli import DEFAULT_LAMBDA, _build_solver_config, main
 from pcsmri.container import load_array, load_image, save_array, save_image
-from pcsmri.masks import PRESETS, load_mask, make_random_mask
+from pcsmri.masks import (PRESETS, SamplingMask, load_mask,
+                          make_random_mask, save_mask)
 from pcsmri.metrics import evaluate, psnr
 from pcsmri.operators import SensitivitySet, zero_filled
 from pcsmri.phantoms import make_phantom, simulate_case
@@ -1146,25 +1148,59 @@ def test_sweep_bad_combo_yields_nan_row_and_comment(tmp_path, capsys):
     assert sorted(p.name for p in (tmp_path / "sw").iterdir()) == ["combo_000"]
 
 
+def _case_copy(case, name, kspace=None, mask=None):
+    """A copy of the case directory with its kspace or mask replaced."""
+    copy = case.parent / name
+    shutil.copytree(case, copy)
+    if kspace is not None:
+        save_array(copy / "kspace", kspace, kind="kspace")
+    if mask is not None:
+        save_mask(copy / "mask", mask)
+    return copy
+
+
 def test_sweep_refuses_a_grid_point_as_recon_refuses_its_config(tmp_path, capsys):
     case = small_case_dir(tmp_path)
     save_image(tmp_path / "vmap", np.full((24, 24), 0.5), kind="image")
-    for fields, message in (
-            ({"prior": "tikhonov,curvelet"}, "unknown prior kind"),
-            ({"v": "0.5,1.5"}, "dc_blend_v must lie in [0, 1]"),
-            ({"v_map": tmp_path / "vmap", "lambda": "0.01,0.02"},
-             "v_map shape (24, 24) does not match maps (32, 32)")):
+    y, sens, mask = load_case_like_cli(case)
+    first = np.flatnonzero(mask.line_selected)[0]
+    off = np.flatnonzero(~mask.line_selected)[0]
+    nan_bin, stray = y.copy(), y.copy()
+    nan_bin[0, 5, first] = np.nan
+    stray[1, 3, off] = 1e-3
+    lambdas = {"lambda": "0.01,0.02"}
+    cells = (
+        (case, {"prior": "tikhonov,curvelet"}, "unknown prior kind"),
+        (case, {"v": "0.5,1.5"}, "dc_blend_v must lie in [0, 1]"),
+        (case, {"v_map": tmp_path / "vmap", "lambda": "0.01,0.02"},
+         "v_map shape (24, 24) does not match maps (32, 32)"),
+        # the case is judged with each grid point, as solve judges it
+        (_case_copy(case, "nan_bin", kspace=nan_bin), lambdas,
+         f"k-space is not finite at sampled bin (coil 0, row 5, column {first})"),
+        (_case_copy(case, "stray", kspace=stray), lambdas,
+         f"k-space is nonzero on unsampled column {off} "),
+        (_case_copy(case, "no_lines", mask=SamplingMask(
+            32, 32, np.zeros(32, dtype=bool), 0, 32.0)), lambdas,
+         "mask selects no lines"),
+        (small_case_dir(tmp_path, "odd", height="33"),
+         {"prior": "tikhonov,soft_threshold_haar"},
+         "Haar needs a 2D image of even dimensions, got (33, 32)"),
+        (case, {"prior": "total_variation", "lambda": "0.01,1e300",
+                "beta": "1e-10"},
+         "lambda/beta must be finite, got lambda = 1e+300 and beta = 1e-10 "
+         "at iteration 1"))
+    for where, fields, message in cells:
         grid = write_config(tmp_path / "grid", {"iterations": "2"} | fields)
         bad = {key: str(value).split(",")[-1] for key, value in fields.items()}
         config = write_config(tmp_path / "cfg", {"iterations": "2"} | bad)
         capsys.readouterr()
-        assert run_cli("recon", "--case", case, "--config", config) == 2
+        assert run_cli("recon", "--case", where, "--config", config) == 2
         recon_err = capsys.readouterr().err
-        assert run_cli("sweep", "--case", case, "--grid", grid,
+        assert run_cli("sweep", "--case", where, "--grid", grid,
                        "--report", tmp_path / "report.csv") == 2
         out, err = capsys.readouterr()
-        assert message in err and err == recon_err and out == ""
-    assert not (case / "sweep").exists() and not (case / "recon").exists()
+        assert message in err and err == recon_err and out == "", where
+        assert not (where / "sweep").exists() and not (where / "recon").exists()
     assert not (tmp_path / "report.csv").exists()
 
 

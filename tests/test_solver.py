@@ -1,6 +1,7 @@
 """Block updates against dense oracles, objective bookkeeping, limits."""
 
 import itertools
+import re
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -841,3 +842,70 @@ def test_solver_geometry_validation():
     wrong = make_random_mask(32, 24, 2.0, 8, seed=0)
     with pytest.raises(ShapeError):
         solve(y, sens, wrong, cfg)
+
+
+@pytest.mark.parametrize("fault", ["no-lines", "unsampled-column", "non-finite-bin"])
+def test_solve_dc_update_and_objective_refuse_the_same_y(fault):
+    gt, sens, y, mask = simulate_case(32, 32, n_coils=2, r=2.0, acs_width=8,
+                                      seed=7)
+    y = y.copy()
+    if fault == "no-lines":
+        mask, message = (SamplingMask(32, 32, np.zeros(32, dtype=bool), 0, 32.0),
+                         "mask selects no lines")
+    elif fault == "unsampled-column":
+        col = np.flatnonzero(~mask.line_selected)[0]
+        y[1, 3, col] = 1e-3
+        message = f"nonzero on unsampled column {col} "
+    else:
+        col = np.flatnonzero(mask.line_selected)[0]
+        y[0, 5, col] = np.inf
+        message = rf"sampled bin \(coil 0, row 5, column {col}\)"
+    prior = TikhonovPrior()
+    state = SolverState(x=gt, z=gt, m=sens.maps * gt, t=0)
+    errors = set()
+    for call in (lambda: solve(y, sens, mask, SolverConfig(prior=prior)),
+                 lambda: dc_update(gt, y, sens, mask, 1.0),
+                 lambda: objective(state, y, sens, mask, 1.0, 1.0, 0.0, prior)):
+        with pytest.raises(ProtocolError, match=message) as caught:
+            call()
+        errors.add(str(caught.value))
+    assert len(errors) == 1
+
+
+@cache
+def _admission_case(h, w):
+    return simulate_case(h, w, n_coils=2, r=2.0, acs_width=4, noise_sigma=0.01,
+                         seed=h * 100 + w)
+
+
+_LOG_WEIGHT = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=120, deadline=None)
+@given(h=st.integers(16, 33), w=st.integers(16, 33),
+       kind=st.sampled_from(["tikhonov", "soft_threshold_image",
+                             "soft_threshold_haar", "total_variation"]),
+       alpha=_LOG_WEIGHT, beta=_LOG_WEIGHT, lam=_LOG_WEIGHT,
+       iterations=st.integers(1, 3))
+def test_an_admitted_solve_returns_or_diverges(h, w, kind, alpha, beta, lam,
+                                               iterations):
+    _, sens, y, mask = _admission_case(h, w)
+    try:
+        cfg = SolverConfig(prior=make_prior(kind), alpha=alpha, beta=beta,
+                           lam=lam, iterations=iterations)
+        solver._admit(y, sens, mask, cfg)
+    except (ConfigError, ShapeError) as refused:
+        # refused where it enters, and solve refuses it with the same error
+        if isinstance(refused, ShapeError):
+            with pytest.raises(ShapeError, match=re.escape(str(refused))):
+                solve(y, sens, mask, cfg)
+        return
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        try:
+            x, _ = solve(y, sens, mask, cfg)
+        except DivergenceError:
+            return
+    # an overflow numpy warns about ends in DivergenceError, never in an x
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert np.all(np.isfinite(x))
