@@ -417,7 +417,14 @@ def cmd_sweep(args):
     return 0
 
 
-def build_parser():
+def build_parser(argv=None):
+    """The CLI's argument parser.
+
+    Every subcommand is listed, so usage and help read as in the full
+    parser, but given ``argv`` only the subcommands it names get their
+    options: argparse builds a help formatter per option, and a command
+    runs one subcommand of seven.
+    """
     parser = argparse.ArgumentParser(
         prog="pcsmri",
         description="Multi-coil compressed-sensing MRI reconstruction toolkit.",
@@ -425,84 +432,82 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("phantom", help="write a synthetic test image")
-    p.add_argument("--kind", default="shepp_logan", choices=PHANTOM_KINDS)
-    p.add_argument("--size", type=int, default=128)
-    p.add_argument("--height", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--phase-ramp", action="store_true")
-    p.add_argument("--out", default="phantom")
-    p.set_defaults(func=cmd_phantom)
+    def command(name, summary, func):
+        p = subs.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        return p if argv is None or name in argv else None
 
-    p = subs.add_parser("mask", help="write a sampling mask")
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--height", type=int)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--acs", type=int, default=24)
-    p.add_argument("--kind", default="random", choices=tuple(MASK_KINDS))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="mask")
-    p.set_defaults(func=cmd_mask)
+    if p := command("phantom", "write a synthetic test image", cmd_phantom):
+        p.add_argument("--kind", default="shepp_logan", choices=PHANTOM_KINDS)
+        p.add_argument("--size", type=int, default=128)
+        p.add_argument("--height", type=int)
+        p.add_argument("--width", type=int)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--phase-ramp", action="store_true")
+        p.add_argument("--out", default="phantom")
 
-    p = subs.add_parser("sense", help="estimate sensitivity maps from k-space")
-    p.add_argument("--kspace", required=True)
-    p.add_argument("--acs", type=int, help="default: the mask's ACS width, else 24")
-    p.add_argument("--mask")
-    p.add_argument("--no-apodize", action="store_true")
-    p.add_argument("--out", default="sens")
-    p.set_defaults(func=cmd_sense)
+    if p := command("mask", "write a sampling mask", cmd_mask):
+        p.add_argument("--width", type=int, required=True)
+        p.add_argument("--height", type=int)
+        p.add_argument("--r", type=float, required=True)
+        p.add_argument("--acs", type=int, default=24)
+        p.add_argument("--kind", default="random", choices=tuple(MASK_KINDS))
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default="mask")
 
-    p = subs.add_parser("simulate", help="generate a full synthetic case")
-    p.add_argument("--out", required=True)
-    p.add_argument("--size", type=int, default=128)
-    p.add_argument("--height", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--coils", type=int, default=4)
-    p.add_argument("--phantom", default="shepp_logan", choices=PHANTOM_KINDS)
-    p.add_argument("--preset", choices=sorted(PRESETS))
-    # no argparse defaults: cmd_simulate must see which of these were given
-    p.add_argument("--mask-kind", choices=tuple(MASK_KINDS))
-    p.add_argument("--r", type=float)
-    p.add_argument("--acs", type=int)
-    p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--phase-ramp", action="store_true")
-    p.set_defaults(func=cmd_simulate)
+    if p := command("sense", "estimate sensitivity maps from k-space", cmd_sense):
+        p.add_argument("--kspace", required=True)
+        p.add_argument("--acs", type=int, help="default: the mask's ACS width, else 24")
+        p.add_argument("--mask")
+        p.add_argument("--no-apodize", action="store_true")
+        p.add_argument("--out", default="sens")
 
-    p = subs.add_parser("recon", help="reconstruct a case directory")
-    p.add_argument("--case", required=True)
-    p.add_argument("--config", help="solver config file (key = value lines)")
-    p.add_argument("--out")
-    p.add_argument("--estimate-sens", action="store_true",
-                   help="estimate maps from the ACS even if sens exists")
-    p.set_defaults(func=cmd_recon)
+    if p := command("simulate", "generate a full synthetic case", cmd_simulate):
+        p.add_argument("--out", required=True)
+        p.add_argument("--size", type=int, default=128)
+        p.add_argument("--height", type=int)
+        p.add_argument("--width", type=int)
+        p.add_argument("--coils", type=int, default=4)
+        p.add_argument("--phantom", default="shepp_logan", choices=PHANTOM_KINDS)
+        p.add_argument("--preset", choices=sorted(PRESETS))
+        # no argparse defaults: cmd_simulate must see which of these were given
+        p.add_argument("--mask-kind", choices=tuple(MASK_KINDS))
+        p.add_argument("--r", type=float)
+        p.add_argument("--acs", type=int)
+        p.add_argument("--sigma", type=float, default=0.0)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--phase-ramp", action="store_true")
 
-    p = subs.add_parser("eval", help="score reconstructions against ground truth")
-    p.add_argument("--recon")
-    p.add_argument("--gt")
-    p.add_argument("--sens", help="restrict metrics to the map support")
-    p.add_argument("--case", default="case")
-    p.add_argument("--method", default="hqs")
-    p.add_argument("--case-dirs", nargs="+",
-                   help="batch mode: directories holding recon/gt/sens")
-    p.add_argument("--report", help="write CSV report to this path")
-    p.set_defaults(func=cmd_eval)
+    if p := command("recon", "reconstruct a case directory", cmd_recon):
+        p.add_argument("--case", required=True)
+        p.add_argument("--config", help="solver config file (key = value lines)")
+        p.add_argument("--out")
+        p.add_argument("--estimate-sens", action="store_true",
+                       help="estimate maps from the ACS even if sens exists")
 
-    p = subs.add_parser("sweep", help="grid-search solver parameters")
-    p.add_argument("--case", required=True)
-    p.add_argument("--grid", required=True,
-                   help="grid file; comma-separated values are swept")
-    p.add_argument("--out")
-    p.add_argument("--report")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--estimate-sens", action="store_true")
-    p.set_defaults(func=cmd_sweep)
+    if p := command("eval", "score reconstructions against ground truth", cmd_eval):
+        p.add_argument("--recon")
+        p.add_argument("--gt")
+        p.add_argument("--sens", help="restrict metrics to the map support")
+        p.add_argument("--case", default="case")
+        p.add_argument("--method", default="hqs")
+        p.add_argument("--case-dirs", nargs="+",
+                       help="batch mode: directories holding recon/gt/sens")
+        p.add_argument("--report", help="write CSV report to this path")
+
+    if p := command("sweep", "grid-search solver parameters", cmd_sweep):
+        p.add_argument("--case", required=True)
+        p.add_argument("--grid", required=True,
+                       help="grid file; comma-separated values are swept")
+        p.add_argument("--out")
+        p.add_argument("--report")
+        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--estimate-sens", action="store_true")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser = build_parser(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -190,28 +190,53 @@ class HaarPrior(Prior):
         return float(np.sum(np.abs(lh)) + np.sum(np.abs(hl)) + np.sum(np.abs(hh)))
 
 
-def _grad2(u):
-    """Forward differences with zero at the far boundary, shape (2, H, W)."""
-    g = np.zeros((2,) + u.shape, dtype=u.dtype)
-    g[0, :-1, :] = u[1:, :] - u[:-1, :]
-    g[1, :, :-1] = u[:, 1:] - u[:, :-1]
+def _grad2(u, out=None):
+    """Forward differences with zero at the far boundary, shape (2, H, W).
+
+    Each direction is one difference over the flattened image: a row
+    shift for H, a one-entry shift for W whose wrapped entries g[1, :, -1]
+    are then reset to zero. ``out``, a C-contiguous (2, H, W) buffer of
+    u's dtype, receives g if given.
+    """
+    h, w = u.shape
+    g = np.empty((2, h, w), dtype=u.dtype) if out is None else out
+    flat, g0, g1 = u.reshape(-1), g[0].reshape(-1), g[1].reshape(-1)
+    np.subtract(flat[w:], flat[:-w], out=g0[:-w])
+    g0[-w:] = 0
+    np.subtract(flat[1:], flat[:-1], out=g1[:-1])
+    g[1, :, -1] = 0
     return g
 
 
-def _div2(p):
-    """Negative adjoint of _grad2: <grad u, p> = -<u, div p> exactly."""
-    d = np.zeros(p.shape[1:], dtype=p.dtype)
-    d[:-1, :] += p[0, :-1, :]
-    d[1:, :] -= p[0, :-1, :]
-    d[:, :-1] += p[1, :, :-1]
-    d[:, 1:] -= p[1, :, :-1]
-    return d
+def _div2(p, out):
+    """Negative adjoint of _grad2: <grad u, p> = -<u, div p> exactly.
+
+    div p ignores p[0, -1, :] and p[1, :, -1]; they must be zero, so that
+    each direction is one difference over the flattened field, as in
+    _grad2. ``out``, a C-contiguous (H, W) buffer of p's dtype, receives
+    div p.
+    """
+    w = p.shape[2]
+    flat, p0, p1 = out.reshape(-1), p[0].reshape(-1), p[1].reshape(-1)
+    flat[:w] = p0[:w]
+    np.subtract(p0[w:], p0[:-w], out=flat[w:])
+    flat += p1
+    np.subtract(flat[1:], p1[:-1], out=flat[1:])
+    return out
+
+
+def _modulus(g, out, scratch):
+    """sqrt(|g[0]|^2 + |g[1]|^2) into out, with scratch of out's shape."""
+    np.square(np.abs(g[0], out=out), out=out)
+    out += np.square(np.abs(g[1], out=scratch), out=scratch)
+    return np.sqrt(out, out=out)
 
 
 def tv_value(z):
     """Isotropic total variation, complex moduli coupling the components."""
     g = _grad2(np.asarray(z, dtype=np.complex128))
-    return float(np.sum(np.sqrt(np.abs(g[0]) ** 2 + np.abs(g[1]) ** 2)))
+    mag = np.empty(g.shape[1:])
+    return float(_modulus(g, mag, np.empty_like(mag)).sum())
 
 
 def tv_denoise(x, theta, iterations=50, tol=1e-3, dual=None, *, info=None):
@@ -222,10 +247,13 @@ def tv_denoise(x, theta, iterations=50, tol=1e-3, dual=None, *, info=None):
     never divides by theta: p <- (theta*p - tau*G)/(theta + tau*|G|). It
     stops once the ROF duality gap P - D is at most tol*P, with
     P = (1/2)||z - x||^2 + theta*TV(z) and D = (1/2)||x||^2 - (1/2)||z||^2.
-    ``dual``, an optional caller-owned (2, H, W) complex128 buffer with
-    |p| <= 1, is the starting p (else zero) and is updated in place, so
-    the next call, even with another theta, can start from it. Returns
-    (z, converged, n_dual_steps). A theta below the smallest normal
+    ``dual``, an optional caller-owned C-contiguous (2, H, W) complex128
+    buffer with |p| <= 1, is the starting p (else zero) and is updated in
+    place, so the next call, even with another theta, can start from it.
+    Its entries p[0, -1, :] and p[1, :, -1], which div p never reads, are
+    set to zero on entry. Each call allocates its own workspace (z, G, |G|
+    and one scratch image) before its first step, and no step allocates.
+    Returns (z, converged, n_dual_steps). A theta below the smallest normal
     double acts as theta = 0 (z = x, within 4*theta of the exact prox).
     ``info``, an optional dict, receives "tv": TV(z) at the returned z.
     """
@@ -239,16 +267,23 @@ def tv_denoise(x, theta, iterations=50, tol=1e-3, dual=None, *, info=None):
         dual = np.zeros((2,) + x.shape, dtype=np.complex128)
     elif dual.shape != (2,) + x.shape or dual.dtype != np.complex128:
         raise ShapeError(f"tv dual must be complex128 of shape {(2,) + x.shape}")
+    elif not dual.flags.c_contiguous:
+        # the flat shifts would copy it on every step
+        raise ShapeError("tv dual must be C-contiguous")
+    dual[0, -1, :] = 0
+    dual[1, :, -1] = 0
+    z = np.empty(x.shape, dtype=np.complex128)
+    g = np.empty(dual.shape, dtype=np.complex128)
+    mag, scratch = np.empty(x.shape), np.empty(x.shape)
     tau = 0.125
     for it in range(iterations + 1):
-        z = _div2(dual)
+        _div2(dual, out=z)
         fit = 0.5 * theta * np.vdot(z, z).real
         # z = x - theta*div p, formed in the div buffer
         z *= -theta
         z += x
-        g = _grad2(z)
-        mag = np.sqrt(np.abs(g[0]) ** 2 + np.abs(g[1]) ** 2)
-        tv = mag.sum()
+        _grad2(z, out=g)
+        tv = _modulus(g, mag, scratch).sum()
         # P/theta = fit + sum|G| and (P - D)/theta = sum|G| + Re<G, p>
         converged = bool(tv + np.vdot(g, dual).real <= tol * (fit + tv))
         if converged or it == iterations:
@@ -260,7 +295,9 @@ def tv_denoise(x, theta, iterations=50, tol=1e-3, dual=None, *, info=None):
         dual -= g
         mag *= tau
         mag += theta
-        dual /= mag
+        # the bits of dual /= mag: numpy divides complex by real as a
+        # product with the reciprocal
+        dual *= np.reciprocal(mag, out=mag)
 
 
 class TotalVariationPrior(Prior):

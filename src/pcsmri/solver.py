@@ -277,7 +277,11 @@ def x_update(z, m, sens, alpha, beta):
     x = _combine(sens.maps, np.asarray(m))
     x *= alpha
     x += beta * np.asarray(z)
-    x /= beta + alpha * sens.energy
+    denom = alpha * sens.energy
+    denom += beta
+    # the bits of x /= denom: numpy divides complex by real as a product
+    # with the reciprocal
+    x *= np.reciprocal(denom, out=denom)
     return x
 
 

@@ -273,6 +273,54 @@ def tv_denoise_dual_oracle(x, theta, steps=100_000):
     return x - theta * _div_oracle(p0, p1)
 
 
+def _grad2_reference(u):
+    g = np.zeros((2,) + u.shape, dtype=u.dtype)
+    g[0, :-1, :] = u[1:, :] - u[:-1, :]
+    g[1, :, :-1] = u[:, 1:] - u[:, :-1]
+    return g
+
+
+def _div2_reference(p):
+    d = np.zeros(p.shape[1:], dtype=p.dtype)
+    d[:-1, :] += p[0, :-1, :]
+    d[1:, :] -= p[0, :-1, :]
+    d[:, :-1] += p[1, :, :-1]
+    d[:, 1:] -= p[1, :, :-1]
+    return d
+
+
+def tv_denoise_reference(x, theta, iterations, tol, dual):
+    """The semi-implicit TV dual loop step for step, in plain numpy.
+
+    The same floating-point operations in the same order as the package's
+    ``tv_denoise`` (Chambolle 2004, tau = 1/8, in the form that never
+    divides by theta), on fresh arrays per step, with strided shifts and
+    a complex-by-real division: a frozen reference for a loop that must
+    stay bit-identical while it gets cheaper. ``dual`` is updated in place
+    and read in full. Returns (z, converged, n_steps, TV(z)); theta must be
+    a normal double.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    tau = 0.125
+    for it in range(iterations + 1):
+        z = _div2_reference(dual)
+        fit = 0.5 * theta * np.vdot(z, z).real
+        z *= -theta
+        z += x
+        g = _grad2_reference(z)
+        mag = np.sqrt(np.abs(g[0]) ** 2 + np.abs(g[1]) ** 2)
+        tv = mag.sum()
+        converged = bool(tv + np.vdot(g, dual).real <= tol * (fit + tv))
+        if converged or it == iterations:
+            return z, converged, it, float(tv)
+        dual *= theta
+        g *= tau
+        dual -= g
+        mag *= tau
+        mag += theta
+        dual /= mag
+
+
 def tv_primal_objective(z, x, theta):
     z = np.asarray(z)
     x = np.asarray(x)

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import FAIL_STUB, IDENTITY_STUB, NAN_STUB, make_stub
 from pcsmri import __version__, solver
-from pcsmri.cli import DEFAULT_LAMBDA, _build_solver_config, main
+from pcsmri.cli import DEFAULT_LAMBDA, _build_solver_config, build_parser, main
 from pcsmri.container import load_array, load_image, save_array, save_image
 from pcsmri.masks import (PRESETS, SamplingMask, load_mask,
                           make_random_mask, save_mask)
@@ -27,6 +27,8 @@ from pcsmri.priors import TikhonovPrior
 from pcsmri.sensitivity import estimate_maps
 from pcsmri.transforms import ifft2c
 from pcsmri.solver import SolverConfig, solve
+
+SUBCOMMANDS = ("phantom", "mask", "sense", "simulate", "recon", "eval", "sweep")
 
 
 def run_cli(*argv):
@@ -97,6 +99,25 @@ def test_version_flag_and_module_entry(capsys):
     proc = subprocess.run([sys.executable, "-m", "pcsmri", "recon"],
                           capture_output=True, text=True)
     assert proc.returncode == 2 and "--case" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus"], ["--", "recon"],
+    *([name, "-h"] for name in SUBCOMMANDS),
+    *([name, "--nope"] for name in SUBCOMMANDS),
+    ["recon"], ["sweep", "--case", "c", "--grid"], ["mask", "--r", "x"],
+    ["simulate", "--out", "o", "--preset", "brainstem"],
+    ["eval", "--case-dirs"], ["-h", "sweep"], ["phantom", "--kind", "recon"]])
+def test_a_parser_with_only_the_named_subcommands_reads_as_the_full_one(argv,
+                                                                        capsys):
+    # main builds the options of the subcommands argv names only; help,
+    # usage errors and their exit codes are those of the full parser
+    outputs = []
+    for parser in (build_parser(), build_parser(argv)):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        outputs.append((exc.value.code, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
 
 
 def test_package_imports_only_numpy_and_the_stdlib():

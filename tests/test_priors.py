@@ -16,6 +16,7 @@ from conftest import make_stub, random_complex
 from oracles import (
     haar_bands_scalar,
     tv_denoise_dual_oracle,
+    tv_denoise_reference,
     tv_primal_objective,
     tv_scalar,
 )
@@ -362,9 +363,72 @@ def test_tv_denoise_certificate_holds_at_extreme_weights(h, w, log_theta,
 def test_tv_denoise_rejects_a_wrong_dual_buffer():
     x = np.ones((4, 6), dtype=complex)
     for bad in (np.zeros((2, 6, 4), complex), np.zeros((2, 4, 6), np.complex64),
-                np.zeros((4, 6), complex)):
+                np.zeros((4, 6), complex),
+                # the right shape and dtype, but its flat views would be copies
+                np.zeros((2, 4, 6), complex, order="F"),
+                np.zeros((2, 4, 12), complex)[:, :, ::2]):
         with pytest.raises(ShapeError, match="tv dual"):
             tv_denoise(x, 0.1, dual=bad)
+    # the image itself may have any layout
+    rng = np.random.default_rng(14)
+    x = random_complex(rng, (4, 6))
+    want, _, _ = tv_denoise(x, 0.1)
+    for view in (np.asfortranarray(x), random_complex(rng, (8, 12))[::2, ::2],
+                 random_complex(rng, (4, 6))[::-1, ::-1]):
+        view[...] = x
+        got, _, _ = tv_denoise(view, 0.1)
+        np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12),
+       st.one_of(st.floats(-4, 2), st.floats(-150, 150)),
+       st.floats(-10, -1), st.integers(0, 40), st.booleans(), st.booleans(),
+       st.integers(0, 999))
+def test_tv_denoise_is_the_reference_loop_bit_for_bit(h, w, log_theta, log_tol,
+                                                      iterations, warm, fortran,
+                                                      seed):
+    # the workspace, flat shifts and reciprocal change no bit of a step:
+    # z, the step count, the verdict, TV(z) and every dual entry div reads
+    rng = np.random.default_rng(seed)
+    x = random_complex(rng, (h, w))
+    if fortran:
+        x = np.asfortranarray(x)
+    dual = np.zeros((2, h, w), dtype=np.complex128)
+    if warm:
+        # |p| <= 1, the entries div ignores included (and nonzero)
+        dual = random_complex(rng, (2, h, w))
+        dual *= rng.random((h, w)) / _dual_magnitude(dual)
+    theta, tol = 10.0 ** log_theta, 10.0 ** log_tol
+    want_dual = dual.copy()
+    want_z, want_converged, want_n, want_tv = tv_denoise_reference(
+        x, theta, iterations, tol, want_dual)
+    info = {}
+    z, converged, n_iter = tv_denoise(x, theta, iterations, tol, dual, info=info)
+    np.testing.assert_array_equal(z, want_z)
+    assert (converged, n_iter, info["tv"]) == (want_converged, want_n, want_tv)
+    np.testing.assert_array_equal(dual[0, :-1, :], want_dual[0, :-1, :])
+    np.testing.assert_array_equal(dual[1, :, :-1], want_dual[1, :, :-1])
+    assert not dual[0, -1, :].any() and not dual[1, :, -1].any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 999))
+def test_numpy_divides_complex_by_real_as_a_reciprocal_product(n, seed):
+    # tv_denoise and x_update rely on this identity to be bit-identical to
+    # the division they replaced (+0 and -0 compare equal, NaN to NaN)
+    rng = np.random.default_rng(seed)
+    num = random_complex(rng, (n,)) * 10.0 ** rng.uniform(-300, 300, n)
+    num.real[rng.random(n) < 0.2] = 0.0
+    num.real[rng.random(n) < 0.2] = -0.0
+    num.imag[rng.random(n) < 0.2] = -0.0
+    den = 10.0 ** rng.uniform(-310, 300, n)
+    den[0] = 1e-310
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 1/1e-310 overflows in both forms
+        quotient = num / den
+        product = num * np.reciprocal(den)
+    np.testing.assert_array_equal(quotient, product)
 
 
 def test_tv_prior_wires_theta_and_convergence_through():

@@ -120,6 +120,26 @@ def test_x_update_matches_dense_normal_equations():
             got, (0.3 * z + 0.7 * summed) / (0.3 + 0.7 * sens.energy))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 4),
+       st.floats(-300, 300), st.floats(-300, 300), st.integers(0, 999))
+def test_x_update_is_the_division_form_bit_for_bit(h, w, n_coils, log_alpha,
+                                                   log_beta, seed):
+    # x_update multiplies by the reciprocal of beta + alpha*sum|S|^2; numpy's
+    # complex-by-real division computes the same product (signed zeros aside)
+    rng = np.random.default_rng(seed)
+    sens = SensitivitySet.from_profiles(random_complex(rng, (n_coils, h, w)))
+    z = random_complex(rng, (h, w))
+    m = random_complex(rng, (n_coils, h, w))
+    alpha, beta = 10.0 ** log_alpha, 10.0 ** log_beta
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # overflow to inf is in both forms
+        got = x_update(z, m, sens, alpha, beta)
+        summed = np.sum(np.conj(sens.maps) * m, axis=0)
+        want = (alpha * summed + beta * z) / (beta + alpha * sens.energy)
+    np.testing.assert_array_equal(got, want)
+
+
 def test_x_update_reduces_to_z_off_support():
     rng = np.random.default_rng(30)
     profiles = random_complex(rng, (2, 8, 8))
