@@ -229,7 +229,6 @@ def cmd_simulate(args):
     if args.preset and given:
         raise ConfigError("--preset sets the mask; drop --mask-kind, --r and --acs")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     height = args.size if args.height is None else args.height
     width = args.size if args.width is None else args.width
     x_gt, sens, y, mask = simulate_case(
@@ -286,12 +285,11 @@ def _write_objective_log(path, state, extra):
     _write_files([(path, ("\n".join(lines) + "\n").encode())])
 
 
-def _run_recon(y, sens, mask, config, out_path, gt=None):
+def _run_recon(y, sens, mask, config, out_path, gt=None, score=False):
     x, state = solve(y, sens, mask, config)
-    out_path = Path(out_path)
-    # made only now, so that a failed solve leaves no directory behind
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    save_image(out_path, x, kind="recon")
+    state.m = state.z = None  # unread below: freed before scoring allocates
+    # scored before the first write: a gt that evaluate refuses leaves nothing
+    scores = evaluate(x, gt, support=sens.support) if score else None
     extra = []
     if gt is not None:
         support = sens.support
@@ -302,13 +300,12 @@ def _run_recon(y, sens, mask, config, out_path, gt=None):
             f"# psnr_recon: {min(p1, PSNR_TEXT_CAP):.4f}",
             f"# psnr_gain: {p1 - p0:.4f}",
         ]
+    save_image(out_path, x, kind="recon")
     _write_objective_log(out_path.parent / "objective.log", state, extra)
     if config.record_history:
-        it_dir = out_path.parent / "iterates"
-        it_dir.mkdir(exist_ok=True)
         for t, xt in enumerate(state.x_history):
-            save_image(it_dir / f"x_{t:03d}", xt, kind="iterate")
-    return x, state
+            save_image(out_path.parent / "iterates" / f"x_{t:03d}", xt, kind="iterate")
+    return scores
 
 
 def cmd_recon(args):
@@ -376,9 +373,8 @@ def _expand_grid(fields):
 
 
 def _sweep_one(index, config, y, sens, mask, gt, out_root):
-    x, _ = _run_recon(y, sens, mask, config,
-                      out_root / f"combo_{index:03d}" / "recon", gt=gt)
-    return evaluate(x, gt, support=sens.support)
+    return _run_recon(y, sens, mask, config,
+                      out_root / f"combo_{index:03d}" / "recon", gt=gt, score=True)
 
 
 def cmd_sweep(args):
@@ -386,20 +382,19 @@ def cmd_sweep(args):
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     combos = _expand_grid(_read_kv_file(args.grid))
     # the whole grid is judged as recon judges a config, before any solve or
-    # write: a nan row can only come from a failed solve
+    # write: a nan row comes only from DivergenceError or PriorExecutionError
     configs = [_build_solver_config(combo) for combo in combos]
     y, sens, mask, case, gt = _load_case(args.case, args.estimate_sens, configs)
     if gt is None:
         raise ConfigError(f"sweep needs {case / 'gt'} for scoring")
     out_root = Path(args.out) if args.out else case / "sweep"
-    out_root.mkdir(parents=True, exist_ok=True)
 
     def run(index):
         label = ";".join(f"{k}={v}" for k, v in sorted(combos[index].items()))
         try:
             scores = _sweep_one(index, configs[index], y, sens, mask, gt, out_root)
             return _format_row(case.name, label, scores), scores["psnr"], None
-        except Exception as exc:
+        except (DivergenceError, PriorExecutionError) as exc:
             row = f"{case.name},{label},nan,nan,nan,nan"
             return row, -math.inf, f"# error {label}: {exc}"
 

@@ -19,9 +19,10 @@ images are stored as coils=1. Round trips are bit-exact for data
 already in the stored dtype.
 
 Masks and manifests share this header codec. Each file, and every text
-artifact of the CLI, is written to a temporary sibling and renamed over
-its target, so a write that fails part-way leaves the previous files in
-place.
+artifact of the CLI, is written to a temporary sibling, in a directory
+made if missing, and renamed over its target: a failure before the write
+creates nothing, and one during it leaves the previous files in place
+(and may leave a directory it made).
 """
 
 import os
@@ -47,12 +48,15 @@ def _write_files(files):
 
     Every file is written in full before the first rename, in the given
     order, so an interrupted write leaves the previous files in place.
-    An OSError names the requested path, not its temporary.
+    A missing directory is made just before the first file in it, and
+    stays if an I/O error follows. An OSError names the requested path.
     """
     files = [(Path(target), data) for target, data in files]
     temps = []
     try:
         for target, data in files:
+            if not temps or temps[-1].parent != target.parent:
+                target.parent.mkdir(parents=True, exist_ok=True)
             temps.append(target.with_name(
                 f".{target.name}.{os.getpid()}-{threading.get_ident()}.tmp"))
             temps[-1].write_bytes(data)

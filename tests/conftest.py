@@ -53,6 +53,17 @@ NAN_STUB = """
     shutil.copyfile(src + ".hdr", dst + ".hdr")
 """
 
+# a finite image too large for the <c8 recon that the CLI writes (at most
+# about 3.4e38), but not for the float64 arithmetic that scores it
+HUGE_STUB = """
+    import shutil
+    import numpy as np
+    src, dst = sys.argv[1], sys.argv[2]
+    data = np.fromfile(src, dtype="<c16")
+    np.full(data.shape, 1e40, dtype="<c16").tofile(dst)
+    shutil.copyfile(src + ".hdr", dst + ".hdr")
+"""
+
 FAIL_STUB = """
     sys.stderr.write("denoiser exploded\\n")
     sys.exit(3)

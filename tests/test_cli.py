@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FAIL_STUB, IDENTITY_STUB, NAN_STUB, make_stub
+from conftest import FAIL_STUB, HUGE_STUB, IDENTITY_STUB, NAN_STUB, make_stub
 from pcsmri import __version__, solver
 from pcsmri.cli import DEFAULT_LAMBDA, _build_solver_config, build_parser, main
 from pcsmri.container import load_array, load_image, save_array, save_image
@@ -343,6 +343,37 @@ def test_recon_out_creates_missing_directories(tmp_path):
     missing = tmp_path / "other" / "recon"
     assert run_cli("recon", "--case", tmp_path / "nope", "--out", missing) == 3
     assert not missing.parent.exists()
+
+
+def test_every_command_makes_the_directories_of_its_outputs(tmp_path, capsys):
+    case = small_case_dir(tmp_path)
+    new = tmp_path / "new" / "nested"
+    assert run_cli("phantom", "--size", "32", "--out", new / "ph") == 0
+    assert run_cli("mask", "--width", "32", "--r", "2", "--acs", "8",
+                   "--out", new / "m") == 0
+    assert run_cli("sense", "--kspace", case / "kspace", "--mask", case / "mask",
+                   "--out", new / "s") == 0
+    assert run_cli("eval", "--recon", case / "gt", "--gt", case / "gt",
+                   "--report", new / "deeper" / "r.csv") == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in new.iterdir()) == [
+        "deeper", "m", "m.hdr", "ph", "ph.hdr", "ph.manifest", "s", "s.hdr"]
+    assert load_mask(new / "m").acs_width == 8
+    assert load_array(new / "s", expect_kind="sens")[0].shape == (2, 32, 32)
+    assert (new / "deeper" / "r.csv").read_text().startswith("case,method,")
+
+
+def test_a_recon_that_cannot_be_stored_exits_3_leaving_no_directory(tmp_path,
+                                                                   capsys):
+    case = small_case_dir(tmp_path)
+    config = write_config(tmp_path / "cfg", {
+        "prior": "external", "external_cmd": make_stub(tmp_path, "huge", HUGE_STUB),
+        "lambda": "0", "iterations": "1"})
+    out = tmp_path / "big" / "recon"
+    assert run_cli("recon", "--case", case, "--config", config, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and f"cannot store {out} as <c8" in err
+    assert not out.parent.exists()
 
 
 def test_config_comments_and_blank_lines_are_ignored(tmp_path):
@@ -707,8 +738,8 @@ def test_config_and_usage_errors_exit_2(tmp_path, capsys):
     assert main(["simulate", "--width", "0", "--out", str(tmp_path / "sim")]) == 2
     assert main(["mask", "--width", "32", "--height", "0", "--r", "2",
                  "--acs", "8", "--out", str(tmp_path / "m")]) == 2
-    # a non-finite acceleration, or one that leaves no sampled line
-    for r in ("nan", "inf"):
+    # an acceleration below 1 or not finite, or one that leaves no sampled line
+    for r in ("0.5", "nan", "inf"):
         for kind in ("random", "equispaced"):
             assert main(["mask", "--width", "32", "--r", r, "--acs", "0",
                          "--kind", kind, "--out", str(tmp_path / "m")]) == 2
@@ -726,7 +757,7 @@ def test_config_and_usage_errors_exit_2(tmp_path, capsys):
         assert "--preset sets the mask" in capsys.readouterr().err
     assert not (tmp_path / "preset").exists()
     assert not (tmp_path / "m").exists()
-    assert not (tmp_path / "sim" / "kspace").exists()
+    assert not (tmp_path / "sim").exists()
     grid = write_config(tmp_path / "grid", GRID_2X2)
     for jobs in ("0", "-4"):
         assert main(["sweep", "--case", str(case), "--grid", str(grid),
@@ -764,9 +795,11 @@ def test_interrupted_objective_log_write_keeps_previous_log(tmp_path,
     assert (case / "objective.log").read_bytes() == before
     assert not list(case.glob(".*.tmp"))
 
-    assert run_cli("phantom", "--out", tmp_path / "nodir" / "ph") == 3
+    # a missing directory is made, so a regular file in its place fails
+    (tmp_path / "plain").write_text("")
+    assert run_cli("phantom", "--out", tmp_path / "plain" / "ph") == 3
     err = capsys.readouterr().err
-    assert f"'{tmp_path / 'nodir' / 'ph'}'" in err and ".tmp" not in err
+    assert f"'{tmp_path / 'plain' / 'ph'}'" in err and ".tmp" not in err
 
 
 # the commands that read each input file ("batch" is eval --case-dirs),
@@ -1167,6 +1200,56 @@ def test_sweep_bad_combo_yields_nan_row_and_comment(tmp_path, capsys):
     assert "lambda=0.01" in best[0]
     # the failed solve leaves no combo directory behind
     assert sorted(p.name for p in (tmp_path / "sw").iterdir()) == ["combo_000"]
+
+
+def test_a_sweep_point_that_cannot_be_stored_ends_the_sweep_with_exit_3(
+        tmp_path, capsys):
+    case = small_case_dir(tmp_path)
+    identity = make_stub(tmp_path, "identity", IDENTITY_STUB)
+    huge = make_stub(tmp_path, "huge", HUGE_STUB)
+    # only a failed solve is a nan row; the second point's save fails instead
+    grid = write_config(tmp_path / "grid", {
+        "prior": "external", "external_cmd": f"{identity},{huge}",
+        "lambda": "0", "iterations": "1"})
+    report = tmp_path / "report.csv"
+    assert run_cli("sweep", "--case", case, "--grid", grid,
+                   "--out", tmp_path / "sw", "--report", report) == 3
+    out, err = capsys.readouterr()
+    assert f"cannot store {tmp_path / 'sw' / 'combo_001' / 'recon'}" in err
+    assert "nan" not in out and not report.exists()
+    # the point solved before it keeps its directory; the failed one has none
+    assert sorted(p.name for p in (tmp_path / "sw").iterdir()) == ["combo_000"]
+
+
+@pytest.mark.parametrize("how,message", [
+    ("edge_support", "support leaves no valid SSIM windows"),
+    ("zero_gt", "psnr reference image is all zero")])
+def test_a_case_that_cannot_be_scored_exits_2_writing_nothing(tmp_path, capsys,
+                                                              how, message):
+    case = small_case_dir(tmp_path)
+    if how == "edge_support":
+        # maps only on the top three rows: no 11x11 window is centered there
+        maps = np.zeros((2, 32, 32), dtype=complex)
+        maps[0, :3] = 1.0
+        save_array(case / "sens", maps, kind="sens", dtype="<c16")
+        save_image(case / "gt", np.ones((32, 32)), kind="gt")
+    else:
+        save_image(case / "gt", np.zeros((32, 32)), kind="gt")
+    grid = write_config(tmp_path / "grid", {
+        "prior": "tikhonov", "lambda": "0.01,0.02", "iterations": "2"})
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    # every point is scored before anything of it is written
+    for jobs in ("1", "2"):
+        assert run_cli("sweep", "--case", case, "--grid", grid, "--jobs", jobs) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error:") and message in err and out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+    # recon scores only the PSNR, and does so before it writes anything
+    assert run_cli("recon", "--case", case) == (2 if how == "zero_gt" else 0)
+    if how == "zero_gt":
+        assert message in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 def _case_copy(case, name, kspace=None, mask=None):

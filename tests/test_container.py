@@ -86,6 +86,9 @@ def test_save_refuses_a_finite_value_that_overflows_the_dtype(tmp_path):
     big = np.array([[1.0, 1e39], [-2e39j, 3.0]])
     with pytest.raises(ContainerError, match=r"ov.*<c8: 2 finite values"):
         save_array(tmp_path / "ov", big, kind="image")
+    # nor the directory it would have been written to
+    with pytest.raises(ContainerError, match=r"ov.*<c8: 2 finite values"):
+        save_array(tmp_path / "new" / "ov", big, kind="image")
     assert list(tmp_path.iterdir()) == []
     # float64 pairs hold it; NaN and inf input is stored as it is
     save_array(tmp_path / "wide", big, kind="image", dtype="<c16")
@@ -93,6 +96,20 @@ def test_save_refuses_a_finite_value_that_overflows_the_dtype(tmp_path):
     odd = np.array([[np.nan, np.inf], [-np.inf * 1j, 1.0]])
     save_array(tmp_path / "odd", odd, kind="image")
     np.testing.assert_array_equal(load_array(tmp_path / "odd")[0][0], odd)
+
+
+def test_save_makes_the_missing_directories_of_its_target(tmp_path):
+    arr = np.arange(6, dtype=np.complex64).reshape(1, 2, 3)
+    save_array(tmp_path / "flat", arr, kind="image")
+    save_array(tmp_path / "a" / "b" / "deep", arr, kind="image")
+    for name in ("deep", "deep.hdr"):
+        assert ((tmp_path / "a" / "b" / name).read_bytes()
+                == (tmp_path / name.replace("deep", "flat")).read_bytes())
+    # a file where a directory belongs fails naming the requested path
+    with pytest.raises(OSError) as info:
+        save_array(tmp_path / "flat" / "x", arr, kind="image")
+    assert info.value.filename == str(tmp_path / "flat" / "x")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "flat", "flat.hdr"]
 
 
 def test_expect_kind_mismatch(tmp_path):
