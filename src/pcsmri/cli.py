@@ -24,6 +24,8 @@ given the seeds: re-running a command rewrites byte-identical files.
 """
 
 import argparse
+import csv
+import io
 import itertools
 import math
 import sys
@@ -324,19 +326,25 @@ def cmd_recon(args):
 
 
 def _format_row(case, method, scores):
-    return (
-        f"{case},{method},{min(scores['psnr'], PSNR_TEXT_CAP):.4f},"
-        f"{scores['ssim']:.6f},{scores['rmse']:.6e},{scores['nmse']:.6e}"
-    )
+    return (case, method, f"{min(scores['psnr'], PSNR_TEXT_CAP):.4f}",
+            f"{scores['ssim']:.6f}", f"{scores['rmse']:.6e}",
+            f"{scores['nmse']:.6e}")
 
 
-def _write_report(path, lines):
-    text = ",".join(REPORT_COLUMNS) + "\n" + "\n".join(lines) + "\n"
-    _write_files([(path, text.encode())])
+def _write_report(path, rows, comments=()):
+    """The CSV report: a header, one row per tuple, then comment lines as they are.
+
+    A field holding a comma or a quote is quoted, so a case named ``a,b``
+    stays one field.
+    """
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([REPORT_COLUMNS, *rows])
+    text.writelines(f"{comment}\n" for comment in comments)
+    _write_files([(path, text.getvalue().encode())])
 
 
 def _print_table(rows):
-    cells = [REPORT_COLUMNS] + [r.split(",") for r in rows]
+    cells = [REPORT_COLUMNS, *rows]
     widths = [max(len(cell) for cell in column) for column in zip(*cells)]
     for c in cells:
         print("  ".join(cell.ljust(w) for cell, w in zip(c, widths)))
@@ -359,7 +367,8 @@ def cmd_eval(args):
         rec = _read(recon, "reconstruction", truth.shape, sens or gt)
         rows.append(_format_row(case, args.method,
                                 evaluate(rec, truth, support=support)))
-    rows.sort()
+    # by the row's text, so case "a+b" sorts before "a" (as '+' < ',')
+    rows.sort(key=",".join)
     _print_table(rows)
     if args.report:
         _write_report(args.report, rows)
@@ -395,7 +404,7 @@ def cmd_sweep(args):
             scores = _sweep_one(index, configs[index], y, sens, mask, gt, out_root)
             return _format_row(case.name, label, scores), scores["psnr"], None
         except (DivergenceError, PriorExecutionError) as exc:
-            row = f"{case.name},{label},nan,nan,nan,nan"
+            row = (case.name, label, "nan", "nan", "nan", "nan")
             return row, -math.inf, f"# error {label}: {exc}"
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -404,8 +413,8 @@ def cmd_sweep(args):
     comments = [c for _, _, c in results if c]
     best_row, best_psnr, _ = max(results, key=lambda r: r[1])
     if math.isfinite(best_psnr):
-        comments.append(f"# best: {best_row.split(',')[1]} psnr={best_psnr:.4f}")
-    _write_report(args.report or out_root / "report.csv", rows + comments)
+        comments.append(f"# best: {best_row[1]} psnr={best_psnr:.4f}")
+    _write_report(args.report or out_root / "report.csv", rows, comments)
     _print_table(rows)
     for comment in comments:
         print(comment)

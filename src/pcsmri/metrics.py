@@ -9,6 +9,9 @@ comparison to the region where the reconstruction is defined.
 SSIM's 11x11 Gaussian window (sigma 1.5; Wang et al., 2004) is the
 outer product of a normalized 1-D Gaussian, so each local mean is two
 1-D passes, along rows and then along columns, rather than one 2-D sum.
+SSIM is scale-invariant: scaling both images by any c > 0 leaves it
+unchanged up to round-off, from 1e-300 to 1e300, as both are divided
+by the reference's dynamic range first.
 """
 
 import math
@@ -102,8 +105,12 @@ def ssim(rec, gt, support=None):
     span = float(gt.max() - gt.min())
     if span == 0:
         span = max(float(gt.max()), 1.0)
-    c1 = (_SSIM_K1 * span) ** 2
-    c2 = (_SSIM_K2 * span) ** 2
+    # on images divided by their range, c1 and c2 are K1^2 and K2^2: the
+    # same SSIM, but its products of four magnitudes neither overflow nor
+    # underflow at any scale
+    rec, gt = rec / span, gt / span
+    c1 = _SSIM_K1**2
+    c2 = _SSIM_K2**2
     g = _gaussian_window(_SSIM_WINDOW, _SSIM_SIGMA)
     mu_r = _windowed_mean(rec, g)
     mu_g = _windowed_mean(gt, g)

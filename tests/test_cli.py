@@ -1,10 +1,13 @@
 """End-to-end tests for the command line surface.
 
 Most tests call ``main`` in process and inspect files, exit codes and
-captured output; one subprocess test checks the module entry point.
+captured output; subprocess tests check the module entry point and run
+the README quick start as written.
 """
 
+import csv
 import hashlib
+import os
 import re
 import shutil
 import subprocess
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import FAIL_STUB, HUGE_STUB, IDENTITY_STUB, NAN_STUB, make_stub
+import pcsmri
 from pcsmri import __version__, solver
 from pcsmri.cli import DEFAULT_LAMBDA, _build_solver_config, build_parser, main
 from pcsmri.container import load_array, load_image, save_array, save_image
@@ -25,10 +29,11 @@ from pcsmri.operators import SensitivitySet, zero_filled
 from pcsmri.phantoms import make_phantom, simulate_case
 from pcsmri.priors import TikhonovPrior
 from pcsmri.sensitivity import estimate_maps
-from pcsmri.transforms import ifft2c
+from pcsmri.transforms import fft2c, ifft2c
 from pcsmri.solver import SolverConfig, solve
 
 SUBCOMMANDS = ("phantom", "mask", "sense", "simulate", "recon", "eval", "sweep")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv):
@@ -66,6 +71,12 @@ def file_digest(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def read_report(path):
+    """The CSV rows of a report, header first, without its comment lines."""
+    lines = Path(path).read_text().splitlines()
+    return list(csv.reader(line for line in lines if not line.startswith("#")))
+
+
 def read_objective_log(path):
     """Split objective.log into (comments, [(t, value)], psnr dict)."""
     comments, series, extras = [], [], {}
@@ -99,6 +110,30 @@ def test_version_flag_and_module_entry(capsys):
     proc = subprocess.run([sys.executable, "-m", "pcsmri", "recon"],
                           capture_output=True, text=True)
     assert proc.returncode == 2 and "--case" in proc.stderr
+
+
+def test_the_readme_quick_start_runs_as_written(tmp_path):
+    # the sh block under "## Quick start", verbatim, through a `pcsmri` on
+    # PATH that runs this interpreter's package
+    section = README.read_text().split("\n## Quick start\n", 1)[1].split("\n## ")[0]
+    script = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    (bin_dir / "pcsmri").write_text(
+        f'#!/bin/sh\nexec "{sys.executable}" -m pcsmri "$@"\n')
+    (bin_dir / "pcsmri").chmod(0o755)
+    paths = [str(Path(pcsmri.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PATH=f"{bin_dir}{os.pathsep}{os.environ['PATH']}",
+               PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(["bash", "-e", "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # the TV inner loop stops on its duality gap, not at its cap; the sweep's
+    # lambda = 0.04 point does hit the cap, so its logs are not read
+    demo = tmp_path / "demo"
+    assert "did not reach tolerance" not in (demo / "objective.log").read_text()
+    rows = read_report(demo / "sweep" / "report.csv")[1:]
+    assert len(rows) == 3 and all(row[2] != "nan" for row in rows), rows
 
 
 @pytest.mark.parametrize("argv", [
@@ -343,6 +378,34 @@ def test_recon_out_creates_missing_directories(tmp_path):
     missing = tmp_path / "other" / "recon"
     assert run_cli("recon", "--case", tmp_path / "nope", "--out", missing) == 3
     assert not missing.parent.exists()
+
+
+@pytest.mark.parametrize("prior", ["tikhonov", "total_variation"])
+@pytest.mark.parametrize("height,width", [("33", "32"), ("32", "33"), ("33", "33")])
+def test_recon_on_an_odd_grid_beats_zero_filled(tmp_path, capsys, height, width,
+                                                 prior):
+    # an odd W runs the sampled-line transforms' general phase path, an odd H
+    # the DC step's flat index over unequal halves; measured through the
+    # full-grid transform instead, a wrong one loses PSNR
+    case = small_case_dir(tmp_path, height=height, width=width)
+    gt, _ = load_image(case / "gt")
+    _, sens, mask = load_case_like_cli(case)
+    y = np.where(mask.line_selected, fft2c(sens.maps * gt), 0)
+    save_array(case / "kspace", y, kind="kspace")
+    config = write_config(tmp_path / "cfg", {
+        "prior": prior, "lambda": "0.01", "iterations": "20"})
+    out = tmp_path / "odd" / "recon"
+    assert run_cli("recon", "--case", case, "--config", config, "--out", out) == 0
+    comments, _, extras = read_objective_log(out.parent / "objective.log")
+    assert not [c for c in comments if "did not reach tolerance" in c]
+    assert extras["psnr_gain"] > 1.0
+    # scored on the stored maps and on maps estimated from the mask's ACS
+    assert run_cli("sense", "--kspace", case / "kspace", "--mask", case / "mask",
+                   "--out", tmp_path / "maps") == 0
+    for sens in (case / "sens", tmp_path / "maps"):
+        assert run_cli("eval", "--recon", out, "--gt", case / "gt",
+                       "--sens", sens) == 0
+    capsys.readouterr()
 
 
 def test_every_command_makes_the_directories_of_its_outputs(tmp_path, capsys):
@@ -867,7 +930,8 @@ def test_a_corrupt_input_exits_2_or_3_naming_it(tmp_path, capsys, name,
     }[command]
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
-    assert run_cli(*argv) in (2, 3)
+    # a file of another shape disagrees with the case (2); any other is broken (3)
+    assert run_cli(*argv) == (2 if how == "wrong-shape" else 3)
     out, err = capsys.readouterr()
     # the temporary directory's name repeats the test parameters
     err = err.replace(str(tmp_path), "")
@@ -1149,16 +1213,42 @@ def test_sweep_runs_every_combo(tmp_path, capsys):
 
 def test_sweep_parallel_jobs_match_serial(tmp_path, capsys):
     case = small_case_dir(tmp_path)
-    grid = write_config(tmp_path / "grid", GRID_2X2)
-    report_1 = tmp_path / "serial.csv"
-    report_2 = tmp_path / "parallel.csv"
-    assert run_cli("sweep", "--case", case, "--grid", grid,
-                   "--out", tmp_path / "s1", "--report", report_1) == 0
-    assert run_cli("sweep", "--case", case, "--grid", grid,
-                   "--out", tmp_path / "s2", "--report", report_2,
-                   "--jobs", 2) == 0
+    # concurrent TV solves share no workspace either: every file, each
+    # combo's recon and objective.log included, has the bytes of one thread
+    tv = {"prior": "total_variation", "lambda": "0.004,0.01,0.04",
+          "iterations": "10"}
+    for name, fields in (("tikhonov", GRID_2X2), ("tv", tv)):
+        grid = write_config(tmp_path / f"{name}.grid", fields)
+        files = []
+        for jobs in (1, 2):
+            out = tmp_path / f"{name}_{jobs}"
+            assert run_cli("sweep", "--case", case, "--grid", grid,
+                           "--out", out, "--jobs", jobs) == 0
+            files.append({path.relative_to(out): path.read_bytes()
+                          for path in out.rglob("*") if path.is_file()})
+        assert files[0] == files[1], name
     capsys.readouterr()
-    assert report_1.read_text() == report_2.read_text()
+
+
+def test_a_case_name_with_a_comma_stays_one_report_field(tmp_path, capsys):
+    case = small_case_dir(tmp_path, name="a,b")
+    assert run_cli("recon", "--case", case) == 0
+    capsys.readouterr()
+    assert run_cli("eval", "--case-dirs", case, "--report", tmp_path / "r.csv") == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[:2] == ["a,b", "hqs"]
+    grid = write_config(tmp_path / "grid", GRID_2X2)
+    assert run_cli("sweep", "--case", case, "--grid", grid,
+                   "--report", tmp_path / "s.csv") == 0
+    capsys.readouterr()
+    for report in ("r.csv", "s.csv"):
+        rows = read_report(tmp_path / report)
+        assert rows[0] == ["case", "method", "PSNR", "SSIM", "RMSE", "NMSE"]
+        assert all(len(row) == 6 and row[0] == "a,b" for row in rows[1:]), rows
+    # the best comment names the grid label, not a part of the case name
+    winner = max(rows[1:], key=lambda row: float(row[2]))
+    best = [l for l in (tmp_path / "s.csv").read_text().splitlines()
+            if l.startswith("# best:")]
+    assert best == [f"# best: {winner[1]} psnr={winner[2]}"]
 
 
 def test_sweep_grid_external_dir_runs_in_parallel(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Image metrics against scalar-loop and definitional recomputations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,20 @@ def test_ssim_of_an_image_with_itself_is_exactly_one(
         support = rng.uniform(size=(h, w)) < support_density
         support[h // 2, w // 2] = True  # keep one valid window center
     assert ssim(img, img, support=support) == 1.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(log_c=st.floats(-300.0, 300.0), seed=st.integers(0, 2**32 - 1))
+def test_ssim_is_the_same_at_every_scale(log_c, seed):
+    # SSIM's means, variances and constants all scale with the image, and
+    # its products of four magnitudes must not overflow or underflow
+    rng = np.random.default_rng(seed)
+    rec, gt = rng.random((32, 32)), rng.random((32, 32))
+    c = 10.0**log_c
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = ssim(c * rec, c * gt)
+    assert abs(scaled - ssim(rec, gt)) <= 1e-12
 
 
 def test_ssim_support_restricts_window_centers():

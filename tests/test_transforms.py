@@ -1,5 +1,8 @@
 """Centered unitary FFT pair and the l2 norm."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_complex
 from oracles import centered_dft2_apply, inner_product
-from pcsmri import ShapeError, fft2c, ifft2c
+from pcsmri import ShapeError, fft2c, ifft2c, transforms
 from pcsmri.transforms import l2_norm
 
 # deliberately mixes even, odd and rectangular grids
@@ -221,3 +224,16 @@ def test_lines_must_be_one_bool_flag_per_column():
         ifft2c(k[0, 0], lines)
     with pytest.raises(ShapeError):
         fft2c(np.ones(10), lines)
+
+
+def test_only_transforms_py_runs_numpys_ffts():
+    # the sampled-column transform, its phase and its centering have one
+    # owner; the solver's data-consistency step goes through it too
+    fft = re.compile(r"(np|numpy)\.fft\.i?fft[2n]?\b|from numpy\.fft import")
+    owner = Path(transforms.__file__)
+    assert fft.search(owner.read_text())
+    calls = [f"{path.name}:{n}: {line}"
+             for path in sorted(owner.parent.glob("*.py")) if path != owner
+             for n, line in enumerate(path.read_text().splitlines(), start=1)
+             if fft.search(line)]
+    assert calls == []
