@@ -128,9 +128,11 @@ def forward(x, sens, mask, noise_sigma=0.0, seed=None):
 
 
 def _combine(maps, coils):
-    """sum_l conj(S_l)*c_l, coil by coil in the order np.sum(..., axis=0) adds.
+    """sum_l conj(S_l)*c_l, adding the coils left to right.
 
-    Bit-identical to that sum, without its two coil-stack temporaries.
+    Bit-identical to np.sum(..., axis=0) without its two coil-stack
+    temporaries, except on a 1x1 grid: there the coil axis is contiguous,
+    and np.sum adds 4 or more coils pairwise.
     """
     out = np.conj(maps[0]) * coils[0]
     for s_l, c_l in zip(maps[1:], coils[1:]):

@@ -14,8 +14,9 @@ bin to the exact weighted minimizer (w*y + alpha*k)/(w + alpha), with
 k = F S_l x and the data weight w = v*alpha/(alpha + 1 - v) of the blend
 v (a scalar or a per-pixel map); v = 1 gives w = 1, exact consistency.
 Every block is therefore minimized exactly (TV up to its duality gap),
-so F is non-increasing across iterations for every v as
-long as alpha, beta and lam stay constant.
+so F is non-increasing across iterations for every v as long as alpha,
+beta and lam stay constant. That stops above about 1e20 in alpha or beta,
+where the iterates' round-off times the weight reaches F.
 
 m_l lives in image domain. The DC step writes S_l x into one coil stack
 and transforms it in place with the sampled-column pair of
@@ -34,17 +35,19 @@ also runs on every config before it writes anything: ``_gather`` checks y,
 the mask and the blend and gathers the measured sampled columns, and the
 prior's ``new_dual`` checks the image shape. The start, m_0 = S x_0 and
 z_0 = x_0 (neither stored), has zero coupling and tie terms, so F_0 comes
-from that record and R(x_0). For t >= 1 it takes F from what the blocks
-hold, R(z_t) included: the prox reports it (``priors.ProxInfo``).
-With r = k_new - y on the sampled bins the DC change is
-k_new - k = -(w/alpha) r, and x_update's closed form gives
-sum_l S_l^H m_l = ((beta + alpha E) x_t - beta z_t)/alpha with
-E = sum_l |S_l|^2. With d = x_{t-1} - x_t,
+from that record and R(x_0). For t >= 1 F is the two block minima at
+x_{t-1} less the exact decrease of the x update:
 
-    sum_l ||m_l - S_l x_t||^2 = <E d, d> + ||k_new - k||^2
-                                + 2 Re<d, sum_l S_l^H m_l - E x_{t-1}>
-                              = ||k_new - k||^2 - <E d, d>
-                                + (2 beta/alpha) Re<d, x_t - z_t>.
+    F_t = 1/2 alpha/(1 + alpha) sum_bins v D + (beta/2) ||z_t - x_{t-1}||^2
+          + lam R(z_t) - 1/2 <(alpha E + beta) d, d>
+
+with D = sum_l |y_l - k_l|^2 per sampled bin (the DC step leaves it in
+the record), E = sum_l |S_l|^2 and d = x_{t-1} - x_t. The first term is
+the DC minimum 1/2 w alpha/(w + alpha) |y - k|^2 per bin; the next two
+are the prox objective at the z it returned, R(z_t) as the prox reports
+it (``priors.ProxInfo``), so TV's inexact z is covered; the last is exact,
+as the x update minimizes a quadratic with diagonal Hessian alpha E + beta.
+No weight divides another, so F stays resolved as alpha or beta -> 0.
 
 So F at t reads no coil stack, and each DC step overwrites the previous
 m in place (its ``out=``): a solve allocates one coil stack, at its first
@@ -157,7 +160,8 @@ class _Data:
     y_s holds the (Nc, H, n) bins of the sampled columns s in FFT row
     order, y_s[l, i, j] = y[l, (i + H//2) % H, s_j], as the sampled-column
     pair of ``transforms`` reads them through the flat index ``g`` with
-    ``phase``. Each DC step leaves its new bins in ``k_new``, so a record
+    ``phase``. Each DC step leaves its new bins in ``k_new`` and the (H, n)
+    sum_l |y_l - k_l|^2 of the bins it read in ``misfit``, so a record
     serves one solve at a time. v is a 0-d float64 array or a v_map's
     (H, n) sampled entries in the same order, so w promotes complex64 data
     alike in both cases and broadcasts against the bins.
@@ -169,25 +173,23 @@ class _Data:
     g: np.ndarray
     phase: np.ndarray
     k_new: np.ndarray
+    misfit: np.ndarray
 
     def weight(self, alpha):
         """w = v*alpha/(alpha + 1 - v) for a checked alpha."""
         return self.v * alpha / (alpha + (1.0 - self.v))
 
-    def misfit(self, k):
-        """sum_l |k_l - y_l|^2 per sampled bin, shape (H, n).
-
-        k is a C-contiguous complex128 array of bins in the record's row
-        order; it is overwritten with k - y.
-        """
-        k -= self.y_s
-        parts = k.view(np.float64)  # (Nc, H, 2n): real and imaginary parts
-        squares = np.einsum("lij,lij->ij", parts, parts)
-        return squares[:, 0::2] + squares[:, 1::2]
-
     def centered_misfit(self, k):
-        """``misfit`` of the centered bins k, such as fft2c(..., s) returns."""
-        return self.misfit(np.fft.ifftshift(k, axes=-2).astype(complex, copy=False))
+        """sum_l |k_l - y_l|^2 per bin of centered bins k, as fft2c(..., s) has them."""
+        return _coil_energy(np.subtract(np.fft.ifftshift(k, axes=-2), self.y_s,
+                                        dtype=complex))
+
+
+def _coil_energy(d, out=None):
+    """sum_l |d_l|^2 per bin of a C-contiguous complex128 (Nc, H, n) stack."""
+    parts = d.view(np.float64)  # (Nc, H, 2n): real and imaginary parts
+    squares = np.einsum("lij,lij->ij", parts, parts)
+    return np.add(squares[:, 0::2], squares[:, 1::2], out=out)
 
 
 def _gather(y, sens, mask, v):
@@ -218,7 +220,7 @@ def _gather(y, sens, mask, v):
             f"k-space is not finite at sampled bin (coil {coil}, row {row}, "
             f"column {np.flatnonzero(s)[j]}) ({len(bad)} such bins)")
     return _Data(s, y_s, v if v.ndim == 0 else v.ravel().take(at_s[0]),
-                 g, phase, np.empty(g.shape, dtype=complex))
+                 g, phase, np.empty(g.shape, dtype=complex), np.empty(g.shape[1:]))
 
 
 def _admit(y, sens, mask, config):
@@ -244,7 +246,7 @@ def dc_update(x_prev, y, sens, mask, alpha, v=1.0, *, data=None, out=None):
     contents are overwritten) if given, else a new one. ``data`` is the
     record ``solve`` gathers once from (y, mask, v), else gathered (and y
     judged) here; its ``k_new`` receives the new sampled bins, in FFT row
-    order.
+    order, and its ``misfit`` sum_l |y_l - k_l|^2 per sampled bin.
     """
     if data is None:
         data = _gather(y, sens, mask, v)
@@ -260,6 +262,7 @@ def dc_update(x_prev, y, sens, mask, alpha, v=1.0, *, data=None, out=None):
     k = _sampled_forward(m, data.g, data.phase, out=m)
     # k_new = k + w/(w + alpha)*(y - k)
     k_new = np.subtract(data.y_s, k, out=data.k_new)
+    _coil_energy(k_new, out=data.misfit)
     k_new *= w / (w + alpha)
     k_new += k
     # the sampled columns of F_W(S x) held F_H^-1 k: replacing them adds the change
@@ -299,34 +302,30 @@ def objective(state, y, sens, mask, alpha, beta, lam, prior, v=1.0):
     beta, lam = _check_weight(beta, "beta"), _check_weight(lam, "lambda", True)
     _check_geometry(sens, image=state.x)
     _check_geometry(sens, image=state.z, coils=state.m, name="coil images")
-    return _total(data.weight(alpha), data.centered_misfit(fft2c(state.m, data.s)),
-                  l2_norm(state.m - sens.maps * state.x) ** 2,
-                  l2_norm(state.z - state.x) ** 2, prior.value(state.z),
-                  alpha, beta, lam)
+    r2 = data.centered_misfit(fft2c(state.m, data.s))
+    return _total(np.sum(data.weight(alpha) * r2),
+                  alpha * l2_norm(state.m - sens.maps * state.x) ** 2
+                  + beta * l2_norm(state.z - state.x) ** 2, prior.value(state.z), lam)
 
 
-def _total(w, r2, coupling, tie, penalty, alpha, beta, lam):
-    """F from its terms; a penalty R(z) of None (external prior) drops lam*R."""
-    total = float(0.5 * np.sum(w * r2) + 0.5 * alpha * coupling + 0.5 * beta * tie)
+def _total(data, quadratic, penalty, lam):
+    """F = (data + quadratic)/2 + lam*penalty; a penalty of None (external
+    prior, R unknown) drops that term."""
+    total = float(0.5 * (data + quadratic))
     return total if penalty is None else total + lam * penalty
 
 
 def _objective_from_blocks(data, sens, x_prev, x, z, alpha, beta, lam, penalty):
     """``objective`` after a solve iteration, without the coil stack m.
 
-    x_prev is the x the DC step read (it left the sampled bins it wrote in
-    data.k_new, which this overwrites), (z, x) the iteration's prox and x
-    update and penalty the R(z) the prox reported; see the module docstring.
+    x_prev is the x the DC step read (it left sum_l |y_l - k_l|^2 in
+    data.misfit), (z, x) the iteration's prox and x update and penalty the
+    R(z) the prox reported; see the module docstring.
     """
-    w = data.weight(alpha)
-    r2 = data.misfit(data.k_new)
-    delta = x_prev - x
-    tie = x - z
-    coupling = (np.sum((w / alpha) ** 2 * r2)
-                - np.vdot(sens.energy * delta, delta).real
-                + 2.0 * beta / alpha * np.vdot(delta, tie).real)
-    return _total(w, r2, coupling, np.vdot(tie, tie).real, penalty,
-                  alpha, beta, lam)
+    step, delta = z - x_prev, x_prev - x
+    descent = np.vdot(delta, (alpha * sens.energy + beta) * delta).real
+    return _total(alpha / (1.0 + alpha) * np.sum(data.v * data.misfit),
+                  beta * np.vdot(step, step).real - descent, penalty, lam)
 
 
 def _check_finite(arr, step, t):
@@ -368,10 +367,8 @@ def solve(y, sens, mask, config):
                         objective_includes_prior=penalty is not None)
     alpha, beta, lam = config.params_at(1)
     # m_0 = S x_0 and z_0 = x_0: the coupling and tie terms are exactly zero
-    _log_objective(state, _total(
-        data.weight(alpha), data.centered_misfit(fft2c(sens.maps * x, data.s)),
-        0.0, 0.0,
-        penalty, alpha, beta, lam), 0)
+    r2 = data.centered_misfit(fft2c(sens.maps * x, data.s))
+    _log_objective(state, _total(np.sum(data.weight(alpha) * r2), 0.0, penalty, lam), 0)
     if config.record_history:
         state.x_history.append(x.copy())
     for t in range(1, config.iterations + 1):

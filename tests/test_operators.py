@@ -99,7 +99,7 @@ def test_zero_filled_is_the_unmasked_adjoint():
     # measured data is already zero off-mask, so both combinations agree
     np.testing.assert_allclose(zero_filled(y, sens), adjoint(y, sens, mask),
                                atol=1e-12)
-    # both combine coil by coil in the order np.sum adds: bit-identical to it
+    # both add the coils left to right, as np.sum does off a 1x1 grid
     s = mask.line_selected
     for data in (y, y.astype(np.complex64)):
         conj_maps = np.conj(sens.maps)

@@ -1,15 +1,16 @@
 """Block updates against dense oracles, objective bookkeeping, limits."""
 
 import itertools
+import operator
 import re
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conftest
@@ -114,7 +115,7 @@ def test_x_update_matches_dense_normal_equations():
         got = x_update(z, m, sens, alpha=0.7, beta=0.3)
         want = x_update_normal_equation_oracle(z, m, sens.maps, 0.7, 0.3)
         np.testing.assert_allclose(got, want, atol=1e-10)
-        # the coil-by-coil sum adds in np.sum's order: bit-identical
+        # the coils add left to right, as np.sum does off a 1x1 grid
         summed = np.sum(np.conj(sens.maps) * m, axis=0)
         np.testing.assert_array_equal(
             got, (0.3 * z + 0.7 * summed) / (0.3 + 0.7 * sens.energy))
@@ -123,10 +124,12 @@ def test_x_update_matches_dense_normal_equations():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 4),
        st.floats(-300, 300), st.floats(-300, 300), st.integers(0, 999))
+@example(1, 1, 4, 0.0, 0.0, 4)  # np.sum adds these 4 coils pairwise
 def test_x_update_is_the_division_form_bit_for_bit(h, w, n_coils, log_alpha,
                                                    log_beta, seed):
     # x_update multiplies by the reciprocal of beta + alpha*sum|S|^2; numpy's
-    # complex-by-real division computes the same product (signed zeros aside)
+    # complex-by-real division computes the same product (signed zeros aside).
+    # The oracle adds the coils left to right, as x_update does.
     rng = np.random.default_rng(seed)
     sens = SensitivitySet.from_profiles(random_complex(rng, (n_coils, h, w)))
     z = random_complex(rng, (h, w))
@@ -135,7 +138,7 @@ def test_x_update_is_the_division_form_bit_for_bit(h, w, n_coils, log_alpha,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # overflow to inf is in both forms
         got = x_update(z, m, sens, alpha, beta)
-        summed = np.sum(np.conj(sens.maps) * m, axis=0)
+        summed = reduce(operator.add, np.conj(sens.maps) * m)
         want = (alpha * summed + beta * z) / (beta + alpha * sens.energy)
     np.testing.assert_array_equal(got, want)
 
@@ -807,7 +810,8 @@ def test_every_logged_objective_matches_the_direct_formula(kind):
             assert history[t] == pytest.approx(direct, rel=1e-12)
 
 
-_LOG_ALPHA = st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e)
+_LOG_ALPHA = st.floats(-300.0, 12.0).map(lambda e: 10.0 ** e)
+_LOG_BETA = st.floats(-8.0, 12.0).map(lambda e: 10.0 ** e)
 
 
 @settings(max_examples=60, deadline=None)
@@ -816,12 +820,12 @@ _LOG_ALPHA = st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e)
        v=st.floats(0.0, 1.0) | st.integers(0, 2**32 - 1).map(_random_v_map),
        iterations=st.integers(1, 3),
        alpha=_LOG_ALPHA | st.lists(_LOG_ALPHA, min_size=3, max_size=3),
-       beta=st.floats(0.05, 20.0) | st.lists(st.floats(0.05, 20.0), min_size=3,
-                                             max_size=3),
+       beta=_LOG_BETA | st.lists(_LOG_BETA, min_size=3, max_size=3),
        lam=st.just(0.0) | st.floats(1e-4, 0.1))
 def test_objective_from_the_blocks_matches_the_direct_formula(kind, v, iterations,
                                                               alpha, beta, lam):
-    # solve logs F at t >= 1 from the blocks; objective recomputes it from m
+    # solve logs F at t >= 1 from the blocks; objective recomputes it from m.
+    # v = 0 with lam = 0 gives F_0 = 0, so the gate's floor is 1/2 ||y||^2.
     _, sens, y, mask = _blend_case()
     alpha = alpha[:iterations] if isinstance(alpha, list) else alpha
     beta = beta[:iterations] if isinstance(beta, list) else beta
@@ -830,7 +834,8 @@ def test_objective_from_the_blocks_matches_the_direct_formula(kind, v, iteration
                        iterations=iterations, dc_blend_v=v)
     _, state = solve(y, sens, mask, cfg)
     direct = objective(state, y, sens, mask, *cfg.params_at(iterations), prior, v)
-    assert state.objective_history[-1] == pytest.approx(direct, rel=1e-12)
+    scale = max(state.objective_history[0], 0.5 * np.vdot(y, y).real)
+    assert abs(state.objective_history[-1] - direct) <= 1e-12 * scale
     x0 = state.x0
     assert state.objective_history[0] == pytest.approx(objective(
         SolverState(x=x0, z=x0, m=sens.maps * x0, t=0), y, sens, mask,
@@ -909,6 +914,9 @@ _LOG_WEIGHT = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
        iterations=st.integers(1, 3))
 def test_an_admitted_solve_returns_or_diverges(h, w, kind, alpha, beta, lam,
                                                iterations):
+    # an analytic prior at alpha, beta <= 1e12 must descend; TV and larger
+    # weights may end in DivergenceError instead
+    descends = kind != "total_variation" and max(alpha, beta) <= 1e12
     _, sens, y, mask = _admission_case(h, w)
     try:
         cfg = SolverConfig(prior=make_prior(kind), alpha=alpha, beta=beta,
@@ -923,9 +931,15 @@ def test_an_admitted_solve_returns_or_diverges(h, w, kind, alpha, beta, lam,
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
         try:
-            x, _ = solve(y, sens, mask, cfg)
+            x, state = solve(y, sens, mask, cfg)
         except DivergenceError:
+            if descends:
+                raise
             return
     # an overflow numpy warns about ends in DivergenceError, never in an x
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert np.all(np.isfinite(x))
+    if descends:
+        history = state.objective_history
+        assert all(later <= earlier + 1e-9 * history[0]
+                   for earlier, later in zip(history, history[1:]))
