@@ -25,6 +25,7 @@ given the seeds: re-running a command rewrites byte-identical files.
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import math
@@ -421,13 +422,14 @@ def cmd_sweep(args):
     return 0
 
 
-def build_parser(argv=None):
-    """The CLI's argument parser.
+@functools.cache
+def build_parser():
+    """The CLI's argument parser, built on the first call and shared after.
 
-    Every subcommand is listed, so usage and help read as in the full
-    parser, but given ``argv`` only the subcommands it names get their
-    options: argparse builds a help formatter per option, and a command
-    runs one subcommand of seven.
+    Parsing leaves the parser unchanged and argparse reads the terminal
+    width when it prints, so every ``main`` call parses with this one
+    parser, whose build costs far more than a parse. Callers must not add
+    to it. Unlike a module-level parser, the cache costs an import nothing.
     """
     parser = argparse.ArgumentParser(
         prog="pcsmri",
@@ -439,81 +441,80 @@ def build_parser(argv=None):
     def command(name, summary, func):
         p = subs.add_parser(name, help=summary)
         p.set_defaults(func=func)
-        return p if argv is None or name in argv else None
+        return p
 
-    if p := command("phantom", "write a synthetic test image", cmd_phantom):
-        p.add_argument("--kind", default="shepp_logan", choices=PHANTOM_KINDS)
-        p.add_argument("--size", type=int, default=128)
-        p.add_argument("--height", type=int)
-        p.add_argument("--width", type=int)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--phase-ramp", action="store_true")
-        p.add_argument("--out", default="phantom")
+    p = command("phantom", "write a synthetic test image", cmd_phantom)
+    p.add_argument("--kind", default="shepp_logan", choices=PHANTOM_KINDS)
+    p.add_argument("--size", type=int, default=128)
+    p.add_argument("--height", type=int)
+    p.add_argument("--width", type=int)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--phase-ramp", action="store_true")
+    p.add_argument("--out", default="phantom")
 
-    if p := command("mask", "write a sampling mask", cmd_mask):
-        p.add_argument("--width", type=int, required=True)
-        p.add_argument("--height", type=int)
-        p.add_argument("--r", type=float, required=True)
-        p.add_argument("--acs", type=int, default=24)
-        p.add_argument("--kind", default="random", choices=tuple(MASK_KINDS))
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default="mask")
+    p = command("mask", "write a sampling mask", cmd_mask)
+    p.add_argument("--width", type=int, required=True)
+    p.add_argument("--height", type=int)
+    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--acs", type=int, default=24)
+    p.add_argument("--kind", default="random", choices=tuple(MASK_KINDS))
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default="mask")
 
-    if p := command("sense", "estimate sensitivity maps from k-space", cmd_sense):
-        p.add_argument("--kspace", required=True)
-        p.add_argument("--acs", type=int, help="default: the mask's ACS width, else 24")
-        p.add_argument("--mask")
-        p.add_argument("--no-apodize", action="store_true")
-        p.add_argument("--out", default="sens")
+    p = command("sense", "estimate sensitivity maps from k-space", cmd_sense)
+    p.add_argument("--kspace", required=True)
+    p.add_argument("--acs", type=int, help="default: the mask's ACS width, else 24")
+    p.add_argument("--mask")
+    p.add_argument("--no-apodize", action="store_true")
+    p.add_argument("--out", default="sens")
 
-    if p := command("simulate", "generate a full synthetic case", cmd_simulate):
-        p.add_argument("--out", required=True)
-        p.add_argument("--size", type=int, default=128)
-        p.add_argument("--height", type=int)
-        p.add_argument("--width", type=int)
-        p.add_argument("--coils", type=int, default=4)
-        p.add_argument("--phantom", default="shepp_logan", choices=PHANTOM_KINDS)
-        p.add_argument("--preset", choices=sorted(PRESETS))
-        # no argparse defaults: cmd_simulate must see which of these were given
-        p.add_argument("--mask-kind", choices=tuple(MASK_KINDS))
-        p.add_argument("--r", type=float)
-        p.add_argument("--acs", type=int)
-        p.add_argument("--sigma", type=float, default=0.0)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--phase-ramp", action="store_true")
+    p = command("simulate", "generate a full synthetic case", cmd_simulate)
+    p.add_argument("--out", required=True)
+    p.add_argument("--size", type=int, default=128)
+    p.add_argument("--height", type=int)
+    p.add_argument("--width", type=int)
+    p.add_argument("--coils", type=int, default=4)
+    p.add_argument("--phantom", default="shepp_logan", choices=PHANTOM_KINDS)
+    p.add_argument("--preset", choices=sorted(PRESETS))
+    # no argparse defaults: cmd_simulate must see which of these were given
+    p.add_argument("--mask-kind", choices=tuple(MASK_KINDS))
+    p.add_argument("--r", type=float)
+    p.add_argument("--acs", type=int)
+    p.add_argument("--sigma", type=float, default=0.0)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--phase-ramp", action="store_true")
 
-    if p := command("recon", "reconstruct a case directory", cmd_recon):
-        p.add_argument("--case", required=True)
-        p.add_argument("--config", help="solver config file (key = value lines)")
-        p.add_argument("--out")
-        p.add_argument("--estimate-sens", action="store_true",
-                       help="estimate maps from the ACS even if sens exists")
+    p = command("recon", "reconstruct a case directory", cmd_recon)
+    p.add_argument("--case", required=True)
+    p.add_argument("--config", help="solver config file (key = value lines)")
+    p.add_argument("--out")
+    p.add_argument("--estimate-sens", action="store_true",
+                   help="estimate maps from the ACS even if sens exists")
 
-    if p := command("eval", "score reconstructions against ground truth", cmd_eval):
-        p.add_argument("--recon")
-        p.add_argument("--gt")
-        p.add_argument("--sens", help="restrict metrics to the map support")
-        p.add_argument("--case", default="case")
-        p.add_argument("--method", default="hqs")
-        p.add_argument("--case-dirs", nargs="+",
-                       help="batch mode: directories holding recon/gt/sens")
-        p.add_argument("--report", help="write CSV report to this path")
+    p = command("eval", "score reconstructions against ground truth", cmd_eval)
+    p.add_argument("--recon")
+    p.add_argument("--gt")
+    p.add_argument("--sens", help="restrict metrics to the map support")
+    p.add_argument("--case", default="case")
+    p.add_argument("--method", default="hqs")
+    p.add_argument("--case-dirs", nargs="+",
+                   help="batch mode: directories holding recon/gt/sens")
+    p.add_argument("--report", help="write CSV report to this path")
 
-    if p := command("sweep", "grid-search solver parameters", cmd_sweep):
-        p.add_argument("--case", required=True)
-        p.add_argument("--grid", required=True,
-                       help="grid file; comma-separated values are swept")
-        p.add_argument("--out")
-        p.add_argument("--report")
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--estimate-sens", action="store_true")
+    p = command("sweep", "grid-search solver parameters", cmd_sweep)
+    p.add_argument("--case", required=True)
+    p.add_argument("--grid", required=True,
+                   help="grid file; comma-separated values are swept")
+    p.add_argument("--out")
+    p.add_argument("--report")
+    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--estimate-sens", action="store_true")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .container import _read_header, _read_payload, _write_header
 from .errors import ConfigError, ContainerError, ShapeError
-from .priors import _check_count
+from .priors import _check_count, _check_seed
 
 _MASK_MAGIC = "pcsmri-mask v1"
 _MASK_FIELDS = {"height": int, "width": int, "r": float, "acs_width": int,
@@ -57,24 +57,28 @@ class SamplingMask:
     seed: int | None = None
 
     def __post_init__(self):
+        height, width = (_check_count(n, "mask dimension", minimum=0)
+                         for n in (self.height, self.width))
         lines = np.asarray(self.line_selected)
-        if lines.shape != (self.width,):
+        if lines.shape != (width,):
             raise ShapeError(
-                f"line_selected has shape {lines.shape}, expected ({self.width},)"
+                f"line_selected has shape {lines.shape}, expected ({width},)"
             )
         bad = lines[(lines != 0) & (lines != 1)]
         if bad.size:
             raise ConfigError(f"line flag {bad[0]}, expected 0 or 1")
         lines = lines.astype(bool)
-        if self.height <= 0 or self.width <= 0:
+        if height <= 0 or width <= 0:
             raise ShapeError("mask dimensions must be positive")
-        start, stop = acs_band(self.width, self.acs_width)
+        start, stop = acs_band(width, self.acs_width)
         if not lines[start:stop].all():
             raise ConfigError("ACS band is not fully selected")
         _check_acceleration(self.acceleration)
         lines.setflags(write=False)
-        object.__setattr__(self, "line_selected", lines)
-        object.__setattr__(self, "acs_width", stop - start)
+        for name, value in (("height", height), ("width", width),
+                            ("line_selected", lines), ("acs_width", stop - start),
+                            ("seed", _check_seed(self.seed))):
+            object.__setattr__(self, name, value)
 
     @property
     def n_selected(self):
@@ -86,6 +90,7 @@ class SamplingMask:
 
 
 def _check_budget(width, r, acs_width):
+    width = _check_count(width, "mask dimension", minimum=0)
     start, stop = acs_band(width, acs_width)
     _check_acceleration(r)
     budget = int(round(width / r))
@@ -96,7 +101,7 @@ def _check_budget(width, r, acs_width):
             f"line budget round({width}/{r}) = {budget} is smaller than "
             f"the {stop - start}-line ACS band"
         )
-    return budget, start, stop
+    return width, budget, start, stop
 
 
 def make_random_mask(height, width, r, acs_width, seed):
@@ -106,7 +111,8 @@ def make_random_mask(height, width, r, acs_width, seed):
     uniformly without replacement from the non-ACS lines. Deterministic
     for a given seed.
     """
-    budget, start, stop = _check_budget(width, r, acs_width)
+    seed = _check_seed(seed)
+    width, budget, start, stop = _check_budget(width, r, acs_width)
     lines = np.zeros(width, dtype=bool)
     lines[start:stop] = True
     candidates = np.flatnonzero(~lines)
@@ -126,7 +132,8 @@ def make_equispaced_mask(height, width, r, acs_width, seed):
     sampling ratio can exceed 1/r by up to acs_width / width after the
     ACS overlay.
     """
-    _, start, stop = _check_budget(width, r, acs_width)
+    seed = _check_seed(seed)
+    width, _, start, stop = _check_budget(width, r, acs_width)
     r_int = int(round(r))
     if abs(r - r_int) > 1e-12:
         raise ConfigError(f"equispaced masks need an integer acceleration, got {r}")

@@ -9,6 +9,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .masks import MASK_KINDS, make_preset_mask
 from .operators import SensitivitySet, forward
+from .priors import _check_count, _check_seed
 
 # (value, a, b, x0, y0, phi_deg), axes and centers in [-1, 1] coordinates
 _SHEPP_LOGAN = (
@@ -96,6 +97,9 @@ def make_phantom(height, width, kind="shepp_logan", rng_seed=None,
     in a fixed linear phase so complex code paths are exercised without
     changing the magnitude.
     """
+    height, width = (_check_count(n, "phantom side", minimum=0)
+                     for n in (height, width))
+    rng_seed = _check_seed(rng_seed)
     if height < 16 or width < 16:
         raise ShapeError(f"phantom dimensions must be >= 16, got ({height}, {width})")
     if kind == "shepp_logan":
@@ -124,8 +128,10 @@ def make_coil_profiles(height, width, n_coils, rng_seed=None):
     coil gets a flat magnitude so that trivial one-coil cases reduce to
     the plain Fourier model.
     """
-    if n_coils < 1:
-        raise ConfigError(f"n_coils must be >= 1, got {n_coils}")
+    n_coils = _check_count(n_coils, "n_coils")
+    height, width = (_check_count(n, "profile side", minimum=0)
+                     for n in (height, width))
+    rng_seed = _check_seed(rng_seed)
     if height < 1 or width < 1:
         raise ShapeError("profile dimensions must be positive")
     rng = np.random.default_rng(rng_seed)
@@ -158,6 +164,7 @@ def simulate_case(height, width, n_coils=4, phantom="shepp_logan",
     acceleration and ACS width. The seed drives four independent streams
     (phantom, coils, mask, noise), so the case is reproducible bit-exactly.
     """
+    seed = _check_count(seed, "seed", minimum=0)
     sub = np.random.SeedSequence(seed).generate_state(4)
     x_gt = make_phantom(height, width, phantom, rng_seed=int(sub[0]),
                         phase_ramp=phase_ramp)

@@ -56,6 +56,11 @@ def _check_count(value, name, minimum=1):
     raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _check_seed(seed):
+    """None, or seed as an int >= 0: numpy's generators take no other seed."""
+    return None if seed is None else _check_count(seed, "seed", minimum=0)
+
+
 def _check_weight(value, name, allow_zero=False):
     """Return value as a finite float > 0 (>= 0 with allow_zero)."""
     try:

@@ -5,8 +5,10 @@ captured output; subprocess tests check the module entry point and run
 the README quick start as written.
 """
 
+import argparse
 import csv
 import hashlib
+import itertools
 import os
 import re
 import shutil
@@ -136,23 +138,60 @@ def test_the_readme_quick_start_runs_as_written(tmp_path):
     assert len(rows) == 3 and all(row[2] != "nan" for row in rows), rows
 
 
-@pytest.mark.parametrize("argv", [
+PARSER_CASES = [
     [], ["-h"], ["bogus"], ["--", "recon"],
     *([name, "-h"] for name in SUBCOMMANDS),
     *([name, "--nope"] for name in SUBCOMMANDS),
     ["recon"], ["sweep", "--case", "c", "--grid"], ["mask", "--r", "x"],
     ["simulate", "--out", "o", "--preset", "brainstem"],
-    ["eval", "--case-dirs"], ["-h", "sweep"], ["phantom", "--kind", "recon"]])
-def test_a_parser_with_only_the_named_subcommands_reads_as_the_full_one(argv,
-                                                                        capsys):
-    # main builds the options of the subcommands argv names only; help,
-    # usage errors and their exit codes are those of the full parser
-    outputs = []
-    for parser in (build_parser(), build_parser(argv)):
+    ["eval", "--case-dirs"], ["-h", "sweep"], ["phantom", "--kind", "recon"]]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES)
+def test_a_parser_with_only_the_named_subcommands_reads_as_the_full_one(
+        argv, capsys, monkeypatch):
+    # main reuses one parser per process; after it has read every other
+    # case, its help, usage errors and exit codes are a fresh parser's
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for other in PARSER_CASES:
+            if other != argv:
+                main(other)
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(argparse._ActionsContainer, "add_argument", None)
+            reused = (main(argv), capsys.readouterr())  # builds no parser
         with pytest.raises(SystemExit) as exc:
-            parser.parse_args(argv)
-        outputs.append((exc.value.code, capsys.readouterr()))
-    assert outputs[0] == outputs[1]
+            build_parser.__wrapped__().parse_args(argv)
+        assert reused == (exc.value.code, capsys.readouterr())
+
+
+def test_no_numeric_flag_ends_in_a_traceback(tmp_path, capsys):
+    # every int or float flag of the writing commands, each in turn, on a
+    # 16x16 phantom and a 32x32, 2-coil case: a refused value exits 2 or 3
+    # and writes nothing; sizes stay at 33 or below
+    bases = {"phantom": ["--size", "16"],
+             "mask": ["--width", "32", "--r", "2", "--acs", "4"],
+             "simulate": ["--size", "32", "--coils", "2", "--r", "2", "--acs", "4"]}
+    values = ["-1", "0", "1", "2.5", "x", "nan", "inf", "-inf", "1e400",
+              "3", "15", "33"]
+    subparsers = next(action.choices for action in build_parser()._actions
+                      if action.dest == "command")
+    runs = 0
+    for name, base in bases.items():
+        flags = [action.option_strings[0] for action in subparsers[name]._actions
+                 if action.type in (int, float)]
+        for flag, value in itertools.product(flags, values):
+            out = tmp_path / str(runs) / "out"
+            code = run_cli(name, *base, flag, value, "--out", out)
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3), (name, flag, value, err)
+            if code:
+                assert not out.parent.exists(), (name, flag, value)
+            if flag == "--seed" and value == "-1":
+                assert code == 2 and "seed" in err, (name, err)
+            runs += 1
+    assert runs == 204
 
 
 def test_package_imports_only_numpy_and_the_stdlib():

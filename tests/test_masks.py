@@ -67,6 +67,14 @@ def test_random_mask_budget_validation():
         for r in (np.nan, np.inf, 200.0):
             with pytest.raises(ConfigError):
                 make(32, 64, r, 0, seed=0)
+        # numpy's generators take a seed >= 0 only
+        for seed in (-1, 1.5, "3"):
+            with pytest.raises(ConfigError, match="seed"):
+                make(8, 8, 2.0, 2, seed)
+        for width in (16.5, "16"):
+            with pytest.raises(ConfigError):
+                make(8, width, 2.0, 2, seed=0)
+        assert make(8, 16.0, 2.0, 2, seed=0).width == 16
 
 
 def test_equispaced_mask_strides_from_a_seeded_offset():
@@ -136,6 +144,15 @@ def test_mask_dataclass_validates_and_freezes():
     for r in (float("nan"), float("inf"), 0.5):
         with pytest.raises(ConfigError):
             SamplingMask(8, 16, lines, 4, r)
+    # nor a height, width or seed
+    fields = dict(height=8, width=16, line_selected=lines, acs_width=4,
+                  acceleration=4.0)
+    for field, bad in (("height", 2.5), ("height", "8"), ("width", 16.5),
+                       ("height", -1), ("seed", 2.5), ("seed", -1)):
+        with pytest.raises(ConfigError):
+            SamplingMask(**(fields | {field: bad}))
+    mask = SamplingMask(8.0, 16, lines, 4, 4.0, seed=3.0)
+    assert (type(mask.height), type(mask.seed)) == (int, int)
 
 
 def test_mask_round_trips_through_disk(tmp_path):

@@ -1,5 +1,7 @@
 """Multi-coil forward model: adjointness, dense oracle equality, noise."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,10 @@ def test_forward_noise_is_seeded_and_sized():
     for bad in (-0.1, np.nan, np.inf):
         with pytest.raises(ConfigError):
             forward(x, sens, mask, noise_sigma=bad)
+    # the seed is judged whether or not noise draws from it
+    for sigma, bad in itertools.product((0.0, 0.5), (-1, 2.5)):
+        with pytest.raises(ConfigError, match="seed"):
+            forward(x, sens, mask, noise_sigma=sigma, seed=bad)
 
 
 def test_zero_filled_is_the_unmasked_adjoint():

@@ -34,6 +34,14 @@ def test_phantom_rejects_tiny_grids_and_unknown_kinds():
         make_phantom(64, 8)
     with pytest.raises(ConfigError):
         make_phantom(32, 32, kind="checkerboard")
+    for bad in (16.5, "16"):
+        with pytest.raises(ConfigError):
+            make_phantom(bad, 16)
+    # judged even where the kind draws nothing from it
+    for kind in PHANTOM_KINDS:
+        for seed in (-1, 2.5):
+            with pytest.raises(ConfigError, match="seed"):
+                make_phantom(16, 16, kind, rng_seed=seed)
 
 
 def test_shepp_logan_landmarks():
@@ -111,13 +119,19 @@ def test_coil_profiles_validate_arguments():
         make_coil_profiles(32, 32, 0)
     with pytest.raises(ShapeError):
         make_coil_profiles(0, 32, 2)
+    with pytest.raises(ConfigError):
+        make_coil_profiles(8, 8, 2.5)
+    with pytest.raises(ConfigError):
+        make_coil_profiles(8.5, 8, 2)
+    with pytest.raises(ConfigError, match="seed"):
+        make_coil_profiles(8, 8, 2, rng_seed=-1)
 
 
 def test_simulate_case_is_deterministic():
     a = simulate_case(32, 32, n_coils=3, r=2.0, acs_width=8, noise_sigma=0.05,
                       seed=9)
     b = simulate_case(32, 32, n_coils=3, r=2.0, acs_width=8, noise_sigma=0.05,
-                      seed=9)
+                      seed=9.0)  # an integral float seed is that integer
     for left, right in zip(a, b):
         if hasattr(left, "maps"):
             np.testing.assert_array_equal(left.maps, right.maps)
@@ -165,6 +179,10 @@ def test_simulate_case_equispaced_and_errors():
         simulate_case(32, 32, mask_kind="radial", seed=0)
     with pytest.raises(ConfigError):
         simulate_case(32, 32, phantom="checkerboard", seed=0)
+    # a case is reproducible from its seed, so None is no seed here
+    for seed in (-1, 2.5, None):
+        with pytest.raises(ConfigError, match="seed"):
+            simulate_case(16, 16, n_coils=2, r=2, acs_width=4, seed=seed)
 
 
 def test_simulate_case_phase_ramp_flag():
