@@ -46,12 +46,13 @@ from .errors import (
     PriorExecutionError,
     ProtocolError,
     ShapeError,
+    _check_weight,
 )
 from .masks import MASK_KINDS, PRESETS, load_mask, mask_summary, save_mask
 from .metrics import PSNR_TEXT_CAP, evaluate, psnr
 from .operators import SensitivitySet
 from .phantoms import PHANTOM_KINDS, make_phantom, simulate_case
-from .priors import _check_weight, make_prior
+from .priors import make_prior
 from .sensitivity import estimate_maps
 from .solver import SolverConfig, _admit, solve
 
@@ -297,7 +298,8 @@ def _run_recon(y, sens, mask, config, out_path, gt=None, score=False):
     if gt is not None:
         support = sens.support
         p0 = psnr(np.abs(state.x0)[support], np.abs(gt)[support])
-        p1 = psnr(np.abs(x)[support], np.abs(gt)[support])
+        # evaluate's PSNR is this one: magnitudes on the support
+        p1 = scores["psnr"] if score else psnr(np.abs(x)[support], np.abs(gt)[support])
         extra = [
             f"# psnr_zero_filled: {min(p0, PSNR_TEXT_CAP):.4f}",
             f"# psnr_recon: {min(p1, PSNR_TEXT_CAP):.4f}",

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import _read_header, _read_payload, _write_header
-from .errors import ConfigError, ContainerError, ShapeError
-from .priors import _check_count, _check_seed
+from .errors import (ConfigError, ContainerError, ShapeError, _check_count,
+                     _check_seed, _check_weight)
 
 _MASK_MAGIC = "pcsmri-mask v1"
 _MASK_FIELDS = {"height": int, "width": int, "r": float, "acs_width": int,
@@ -26,7 +26,8 @@ _MASK_FIELDS = {"height": int, "width": int, "r": float, "acs_width": int,
 
 
 def acs_band(width, acs_width):
-    """Int (start, stop) of the central ACS band; acs_width is integral, 0 to width."""
+    """Int (start, stop) of the central ACS band; acs_width <= width, both integral."""
+    width = _check_count(width, "width", minimum=0)
     acs_width = _check_count(acs_width, "acs_width", minimum=0)
     if acs_width > width:
         raise ConfigError(f"acs_width {acs_width} out of range for width {width}")
@@ -34,9 +35,13 @@ def acs_band(width, acs_width):
     return start, start + acs_width
 
 
-def _check_acceleration(r):
-    if not (math.isfinite(r) and r >= 1):
-        raise ConfigError(f"acceleration must be >= 1 and finite, got {r}")
+def _check_dims(height, width):
+    """(height, width) as ints; ShapeError unless both are positive."""
+    height, width = (_check_count(n, "mask dimension", minimum=0)
+                     for n in (height, width))
+    if height == 0 or width == 0:
+        raise ShapeError("mask dimensions must be positive")
+    return height, width
 
 
 @dataclass(frozen=True)
@@ -57,8 +62,7 @@ class SamplingMask:
     seed: int | None = None
 
     def __post_init__(self):
-        height, width = (_check_count(n, "mask dimension", minimum=0)
-                         for n in (self.height, self.width))
+        height, width = _check_dims(self.height, self.width)
         lines = np.asarray(self.line_selected)
         if lines.shape != (width,):
             raise ShapeError(
@@ -68,16 +72,14 @@ class SamplingMask:
         if bad.size:
             raise ConfigError(f"line flag {bad[0]}, expected 0 or 1")
         lines = lines.astype(bool)
-        if height <= 0 or width <= 0:
-            raise ShapeError("mask dimensions must be positive")
         start, stop = acs_band(width, self.acs_width)
         if not lines[start:stop].all():
             raise ConfigError("ACS band is not fully selected")
-        _check_acceleration(self.acceleration)
+        r = _check_weight(self.acceleration, "acceleration", minimum=1)
         lines.setflags(write=False)
         for name, value in (("height", height), ("width", width),
                             ("line_selected", lines), ("acs_width", stop - start),
-                            ("seed", _check_seed(self.seed))):
+                            ("acceleration", r), ("seed", _check_seed(self.seed))):
             object.__setattr__(self, name, value)
 
     @property
@@ -89,10 +91,11 @@ class SamplingMask:
         return self.n_selected / self.width
 
 
-def _check_budget(width, r, acs_width):
-    width = _check_count(width, "mask dimension", minimum=0)
+def _check_budget(height, width, r, acs_width):
+    """(width, r, budget, start, stop) for a maker's judged arguments."""
+    _, width = _check_dims(height, width)
     start, stop = acs_band(width, acs_width)
-    _check_acceleration(r)
+    r = _check_weight(r, "acceleration", minimum=1)
     budget = int(round(width / r))
     if budget < 1:
         raise ConfigError(f"line budget round({width}/{r}) = 0 selects no line")
@@ -101,7 +104,7 @@ def _check_budget(width, r, acs_width):
             f"line budget round({width}/{r}) = {budget} is smaller than "
             f"the {stop - start}-line ACS band"
         )
-    return width, budget, start, stop
+    return width, r, budget, start, stop
 
 
 def make_random_mask(height, width, r, acs_width, seed):
@@ -112,7 +115,7 @@ def make_random_mask(height, width, r, acs_width, seed):
     for a given seed.
     """
     seed = _check_seed(seed)
-    width, budget, start, stop = _check_budget(width, r, acs_width)
+    width, r, budget, start, stop = _check_budget(height, width, r, acs_width)
     lines = np.zeros(width, dtype=bool)
     lines[start:stop] = True
     candidates = np.flatnonzero(~lines)
@@ -121,7 +124,7 @@ def make_random_mask(height, width, r, acs_width, seed):
     if n_extra > 0:
         chosen = rng.choice(candidates, size=n_extra, replace=False)
         lines[chosen] = True
-    return SamplingMask(height, width, lines, acs_width, float(r), "random", seed)
+    return SamplingMask(height, width, lines, acs_width, r, "random", seed)
 
 
 def make_equispaced_mask(height, width, r, acs_width, seed):
@@ -133,7 +136,7 @@ def make_equispaced_mask(height, width, r, acs_width, seed):
     ACS overlay.
     """
     seed = _check_seed(seed)
-    width, _, start, stop = _check_budget(width, r, acs_width)
+    width, r, _, start, stop = _check_budget(height, width, r, acs_width)
     r_int = int(round(r))
     if abs(r - r_int) > 1e-12:
         raise ConfigError(f"equispaced masks need an integer acceleration, got {r}")

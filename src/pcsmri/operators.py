@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from .priors import _check_seed, _check_weight
+from .errors import ConfigError, ShapeError, _check_seed, _check_weight
 from .transforms import fft2c, ifft2c
 
 SUPPORT_THRESHOLD = 1e-3  # fraction of peak RSS intensity
@@ -115,7 +114,7 @@ def forward(x, sens, mask, noise_sigma=0.0, seed=None):
     which only the sampled columns are used.
     """
     _check_geometry(sens, mask, image=x)
-    noise_sigma = _check_weight(noise_sigma, "noise_sigma", allow_zero=True)
+    noise_sigma = _check_weight(noise_sigma, "noise_sigma", minimum=0)
     seed = _check_seed(seed)
     s = mask.line_selected
     cols = fft2c(sens.maps * x, s)

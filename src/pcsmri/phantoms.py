@@ -6,10 +6,9 @@ be regenerated bit-exactly from their manifest parameters.
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, _check_count, _check_seed
 from .masks import MASK_KINDS, make_preset_mask
 from .operators import SensitivitySet, forward
-from .priors import _check_count, _check_seed
 
 # (value, a, b, x0, y0, phi_deg), axes and centers in [-1, 1] coordinates
 _SHEPP_LOGAN = (

@@ -24,7 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .container import load_image, save_image
-from .errors import ConfigError, PriorExecutionError, ShapeError
+from .errors import (ConfigError, PriorExecutionError, ShapeError, _check_count,
+                     _check_weight)
 
 
 class ProxInfo(NamedTuple):
@@ -46,33 +47,6 @@ def _soft_threshold(x, threshold):
     return scale * x, float(np.sum(shrunk))
 
 
-def _check_count(value, name, minimum=1):
-    """Return value as an int >= minimum; integral floats such as 3.0 pass."""
-    try:
-        if int(value) == value and value >= minimum:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
-def _check_seed(seed):
-    """None, or seed as an int >= 0: numpy's generators take no other seed."""
-    return None if seed is None else _check_count(seed, "seed", minimum=0)
-
-
-def _check_weight(value, name, allow_zero=False):
-    """Return value as a finite float > 0 (>= 0 with allow_zero)."""
-    try:
-        weight = float(value)
-    except (TypeError, ValueError, OverflowError):
-        weight = np.nan
-    if np.isfinite(weight) and (weight > 0 or allow_zero and weight == 0):
-        return weight
-    bound = ">= 0" if allow_zero else "> 0"
-    raise ConfigError(f"{name} must be {bound} and finite, got {value}")
-
-
 class Prior:
     """Interface shared by all prior kinds; subclasses implement _prox."""
 
@@ -85,7 +59,7 @@ class Prior:
         in place (see tv_denoise); the other kinds ignore it.
         """
         return self._prox(x, _check_weight(beta, "beta"),
-                          _check_weight(lam, "lambda", allow_zero=True), dual)
+                          _check_weight(lam, "lambda", minimum=0), dual)
 
     def _prox(self, x, beta, lam, dual):
         """(z, ProxInfo) for beta > 0 and lam >= 0, already checked."""
@@ -262,7 +236,7 @@ def tv_denoise(x, theta, iterations=50, tol=1e-3, dual=None, *, info=None):
     double acts as theta = 0 (z = x, within 4*theta of the exact prox).
     ``info``, an optional dict, receives "tv": TV(z) at the returned z.
     """
-    theta = _check_weight(theta, "tv weight", allow_zero=True)
+    theta = _check_weight(theta, "tv weight", minimum=0)
     x = np.asarray(x, dtype=np.complex128)
     if theta < np.finfo(np.float64).tiny:
         if info is not None:

@@ -9,10 +9,9 @@ the true maps are band-limited to the ACS.
 
 import numpy as np
 
-from .errors import EstimationError, ShapeError
+from .errors import EstimationError, ShapeError, _check_count
 from .masks import acs_band
 from .operators import SensitivitySet, _check_multicoil
-from .priors import _check_count
 from .transforms import ifft2c
 
 

@@ -60,21 +60,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, ProtocolError, ShapeError
+from .errors import (ConfigError, DivergenceError, ProtocolError, ShapeError,
+                     _check_count, _check_weight)
 from .operators import _check_geometry, _combine, zero_filled
-from .priors import Prior, _check_count, _check_weight
+from .priors import Prior
 from .transforms import (_columns, _sampled_forward, _sampled_index,
                          _sampled_inverse, fft2c, l2_norm)
 
 
-def _as_schedule(value, name, t_total, allow_zero):
+def _as_schedule(value, name, t_total, minimum=None):
     """Normalize a scalar or length-T sequence to a tuple of checked floats."""
-    seq = list(value) if np.ndim(value) else [value] * t_total
+    try:
+        scalar = np.ndim(value) == 0
+    except ValueError:  # a ragged list, or bytes numpy cannot decode
+        scalar = False
+    seq = [value] * t_total if scalar else list(value)
     if len(seq) != t_total:
         raise ConfigError(
             f"{name} schedule has {len(seq)} entries, expected {t_total}"
         )
-    return tuple(_check_weight(v, name, allow_zero) for v in seq)
+    return tuple(_check_weight(v, name, minimum) for v in seq)
 
 
 def _check_blend(v):
@@ -120,9 +125,9 @@ class SolverConfig:
         if not isinstance(self.prior, Prior):
             raise ConfigError(f"prior must be a Prior instance, got {self.prior!r}")
         self.iterations = _check_count(self.iterations, "iterations")
-        self.alpha = _as_schedule(self.alpha, "alpha", self.iterations, False)
-        self.beta = _as_schedule(self.beta, "beta", self.iterations, False)
-        self.lam = _as_schedule(self.lam, "lambda", self.iterations, True)
+        self.alpha = _as_schedule(self.alpha, "alpha", self.iterations)
+        self.beta = _as_schedule(self.beta, "beta", self.iterations)
+        self.lam = _as_schedule(self.lam, "lambda", self.iterations, minimum=0)
         # lam/beta is every kind's prox threshold (TV's weight theta)
         for t, (lam, beta) in enumerate(zip(self.lam, self.beta), start=1):
             if not np.isfinite(lam / beta):
@@ -299,7 +304,7 @@ def objective(state, y, sens, mask, alpha, beta, lam, prior, v=1.0):
     """
     data = _gather(y, sens, mask, v)
     alpha = _check_weight(alpha, "alpha")
-    beta, lam = _check_weight(beta, "beta"), _check_weight(lam, "lambda", True)
+    beta, lam = _check_weight(beta, "beta"), _check_weight(lam, "lambda", 0)
     _check_geometry(sens, image=state.x)
     _check_geometry(sens, image=state.z, coils=state.m, name="coil images")
     r2 = data.centered_misfit(fft2c(state.m, data.s))

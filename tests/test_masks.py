@@ -35,6 +35,9 @@ def test_acs_band_is_centered():
         acs_band(10, 11)
     with pytest.raises(ConfigError):
         acs_band(10, -1)
+    for width in (16.5, np.nan):
+        with pytest.raises(ConfigError, match="width must be an integer >= 0"):
+            acs_band(width, 2)
 
 
 def test_random_mask_hits_exact_line_budget():
@@ -74,6 +77,10 @@ def test_random_mask_budget_validation():
         for width in (16.5, "16"):
             with pytest.raises(ConfigError):
                 make(8, width, 2.0, 2, seed=0)
+        # an empty grid is a shape fault, whichever side is zero
+        for height, width in ((0, 16), (16, 0)):
+            with pytest.raises(ShapeError, match="mask dimensions must be positive"):
+                make(height, width, 4.0, 0, seed=0)
         assert make(8, 16.0, 2.0, 2, seed=0).width == 16
 
 

@@ -1,6 +1,7 @@
 """Proximal operators: closed forms, transform identities, the TV dual
 solver against a long-run oracle, and the external denoiser protocol."""
 
+import re
 import tempfile
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -30,6 +31,7 @@ from pcsmri import (
     TikhonovPrior,
     TotalVariationPrior,
     make_prior,
+    priors,
 )
 from pcsmri.priors import (
     _soft_threshold,
@@ -613,3 +615,14 @@ def test_prior_kind_labels():
     assert HaarPrior.kind == "soft_threshold_haar"
     assert TotalVariationPrior.kind == "total_variation"
     assert ExternalPrior.kind == "external"
+
+
+def test_only_the_solver_the_cli_and_the_package_import_priors():
+    # the scalar judges live beside ConfigError in errors.py, so masks,
+    # operators, phantoms and sensitivity reach them without the prior
+    # module and its subprocess and container imports
+    imports = re.compile(r"^from \.priors import|^from \. import .*\bpriors\b", re.M)
+    package = Path(priors.__file__).parent
+    importers = [path.name for path in sorted(package.glob("*.py"))
+                 if imports.search(path.read_text())]
+    assert importers == ["__init__.py", "cli.py", "solver.py"]
