@@ -298,8 +298,7 @@ def _run_recon(y, sens, mask, config, out_path, gt=None, score=False):
     if gt is not None:
         support = sens.support
         p0 = psnr(np.abs(state.x0)[support], np.abs(gt)[support])
-        # evaluate's PSNR is this one: magnitudes on the support
-        p1 = scores["psnr"] if score else psnr(np.abs(x)[support], np.abs(gt)[support])
+        p1 = psnr(np.abs(x)[support], np.abs(gt)[support])
         extra = [
             f"# psnr_zero_filled: {min(p0, PSNR_TEXT_CAP):.4f}",
             f"# psnr_recon: {min(p1, PSNR_TEXT_CAP):.4f}",

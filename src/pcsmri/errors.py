@@ -8,7 +8,7 @@ Every module judges a scalar argument with one of three helpers that
 raise ConfigError: ``_check_count`` (an integer >= a minimum; integral
 floats such as 3.0 pass), ``_check_seed`` (None or an integer >= 0) and
 ``_check_weight`` (a finite float > 0, or >= a given minimum). None of
-them takes a string, bytes or a bool as a number.
+them takes a string, bytes, a bool or a complex number as a number.
 """
 
 import math
@@ -48,8 +48,9 @@ class ContainerError(PcsmriError, RuntimeError):
     """A data file or its sidecar header is malformed."""
 
 
-# int() and float() read these as numbers; the judges do not
-_NOT_NUMBERS = (str, bytes, bool, np.bool_)
+# int() and float() read these as numbers (a numpy complex by dropping
+# its imaginary part); the judges do not
+_NOT_NUMBERS = (str, bytes, bool, complex, np.bool_, np.complexfloating)
 
 
 def _check_count(value, name, minimum=1):

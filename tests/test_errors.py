@@ -1,7 +1,7 @@
 """Property test for the scalar judges of errors.py at every public entry point.
 
-A bad scalar (None, a string, bytes, a bool, a list of such values, NaN
-or an infinity) given to any numeric parameter raises ConfigError naming
+A bad scalar (None, a string, bytes, a bool, a complex number, a list of
+such values, NaN or an infinity) given to any numeric parameter raises ConfigError naming
 that parameter, never a TypeError or ValueError from numpy or math. None
 is a valid seed where a function draws fresh entropy for it.
 """
@@ -97,7 +97,8 @@ PARAMETERS = [(call, valid, param, name) for call, valid, names in ENTRY_POINTS
               for param, name in names.items()]
 
 BAD_SCALARS = st.one_of(
-    st.sampled_from([None, True, False, np.True_, "4", b"4",
+    st.sampled_from([None, True, False, np.True_, "4", b"4", 4 + 1j,
+                     np.complex128(4 + 1j), np.complex64(4),
                      math.nan, math.inf, -math.inf]),
     st.text(max_size=4), st.binary(max_size=4))
 

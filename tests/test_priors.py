@@ -1,7 +1,7 @@
 """Proximal operators: closed forms, transform identities, the TV dual
 solver against a long-run oracle, and the external denoiser protocol."""
 
-import re
+import ast
 import tempfile
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -620,9 +620,19 @@ def test_prior_kind_labels():
 def test_only_the_solver_the_cli_and_the_package_import_priors():
     # the scalar judges live beside ConfigError in errors.py, so masks,
     # operators, phantoms and sensitivity reach them without the prior
-    # module and its subprocess and container imports
-    imports = re.compile(r"^from \.priors import|^from \. import .*\bpriors\b", re.M)
+    # module and its subprocess and container imports; every import
+    # statement counts, also one inside a function, relative or absolute
+    def imports_priors(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name == "pcsmri.priors" for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            module = ("." * node.level) + (node.module or "")
+            return (module in (".priors", "pcsmri.priors")
+                    or module in (".", "pcsmri")
+                    and any(alias.name == "priors" for alias in node.names))
+        return False
+
     package = Path(priors.__file__).parent
     importers = [path.name for path in sorted(package.glob("*.py"))
-                 if imports.search(path.read_text())]
+                 if any(map(imports_priors, ast.walk(ast.parse(path.read_text()))))]
     assert importers == ["__init__.py", "cli.py", "solver.py"]
