@@ -18,9 +18,12 @@ a single number or a comma-separated per-iteration schedule; in a sweep
 grid every comma-separated list is expanded into a Cartesian product
 instead (schedules are not sweepable).
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
-divergence, 5 external-prior failure. All outputs are deterministic
-given the seeds: re-running a command rewrites byte-identical files.
+Exit codes: 0 success, else the ``exit_code`` of the package error
+raised, after ``label: message`` on stderr (both attributes of its class
+in ``pcsmri.errors``): 2 configuration error, 3 I/O error, 4 numerical
+divergence, 5 external-prior failure. Any other OSError exits 3 as an
+I/O error. All outputs are deterministic given the seeds: re-running a
+command rewrites byte-identical files.
 """
 
 import argparse
@@ -42,9 +45,8 @@ from .errors import (
     ConfigError,
     ContainerError,
     DivergenceError,
-    EstimationError,
+    PcsmriError,
     PriorExecutionError,
-    ProtocolError,
     ShapeError,
     _check_weight,
 )
@@ -76,7 +78,11 @@ REPORT_COLUMNS = ("case", "method", "PSNR", "SSIM", "RMSE", "NMSE")
 
 def _read_kv_file(path):
     path, fields = Path(path), {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -520,15 +526,9 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, ShapeError, ProtocolError, EstimationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ContainerError, OSError) as exc:
+    except PcsmriError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return 4
-    except PriorExecutionError as exc:
-        print(f"external prior failed: {exc}", file=sys.stderr)
-        return 5

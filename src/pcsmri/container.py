@@ -3,7 +3,7 @@
 Binary payload is little-endian interleaved (re, im) float pairs in C
 order, coil-major for multi-coil data. The sidecar (the full path plus
 ``.hdr``, so ``a.gt`` pairs with ``a.gt.hdr``) is human-readable text
-with a fixed key order so files diff cleanly:
+in UTF-8, with each key once and in a fixed order so files diff cleanly:
 
     pcsmri-array v1
     kind: kspace
@@ -81,21 +81,27 @@ def _write_header(path, magic, pairs, payload=None):
 def _read_header(path, magic, schema):
     """The sidecar values of path, converted by ``schema`` (key -> converter).
 
-    Any defect in the sidecar raises ContainerError.
+    Any defect in the sidecar raises ContainerError, among them bytes that
+    are not UTF-8 and a key stated twice.
     """
     sidecar = _sidecar(path)
     try:
-        lines = sidecar.read_text().splitlines()
+        lines = sidecar.read_text(encoding="utf-8").splitlines()
     except FileNotFoundError:
         raise ContainerError(f"missing sidecar {sidecar}") from None
+    except UnicodeDecodeError as exc:
+        raise ContainerError(f"{sidecar} is not UTF-8 text: {exc}") from None
     if not lines or lines[0] != magic:
         raise ContainerError(f"{sidecar} is not a {magic} sidecar")
     fields = {}
     for line in filter(str.strip, lines[1:]):
         key, sep, value = line.partition(":")
+        key = key.strip()
         if not sep:
             raise ContainerError(f"malformed sidecar line {line!r} in {sidecar}")
-        fields[key.strip()] = value.strip()
+        if key in fields:
+            raise ContainerError(f"duplicate key {key!r} in {sidecar}")
+        fields[key] = value.strip()
     try:
         return [convert(fields[key]) for key, convert in schema.items()]
     except (KeyError, ValueError) as exc:

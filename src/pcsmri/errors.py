@@ -1,8 +1,9 @@
 """Exception types shared across the package, and the scalar judges.
 
-The CLI maps these onto its exit-code contract: config/usage problems
-exit 2, I/O problems exit 3, numerical divergence exits 4 and external
-denoiser failures exit 5.
+Each error class carries its CLI contract as two class attributes,
+``exit_code`` and ``label``: ``pcsmri.cli.main`` prints ``label: message``
+and returns ``exit_code``, so a subclass is inside the contract by
+inheritance.
 
 Every module judges a scalar argument with one of three helpers that
 raise ConfigError: ``_check_count`` (an integer >= a minimum; integral
@@ -18,6 +19,9 @@ import numpy as np
 
 class PcsmriError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
+    label = "error"
 
 
 class ShapeError(PcsmriError, ValueError):
@@ -39,13 +43,22 @@ class EstimationError(PcsmriError, RuntimeError):
 class DivergenceError(PcsmriError, RuntimeError):
     """A solver iterate or the objective became non-finite; message names the step."""
 
+    exit_code = 4
+    label = "divergence"
+
 
 class PriorExecutionError(PcsmriError, RuntimeError):
     """The external denoiser command failed or returned malformed output."""
 
+    exit_code = 5
+    label = "external prior failed"
+
 
 class ContainerError(PcsmriError, RuntimeError):
     """A data file or its sidecar header is malformed."""
+
+    exit_code = 3
+    label = "i/o error"
 
 
 # int() and float() read these as numbers (a numpy complex by dropping

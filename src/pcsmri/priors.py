@@ -352,9 +352,10 @@ class ExternalPrior(Prior):
             argv = self.command + [str(in_path), str(out_path), repr(float(beta)),
                                    repr(float(lam))]
             try:
-                proc = subprocess.run(
-                    argv, capture_output=True, text=True, timeout=self.timeout
-                )
+                # its output is only quoted in errors: bytes that are not
+                # UTF-8 are replaced there, not raised on
+                proc = subprocess.run(argv, capture_output=True, text=True,
+                                      errors="replace", timeout=self.timeout)
             except subprocess.TimeoutExpired:
                 raise PriorExecutionError(
                     f"external prior timed out after {self.timeout} s"

@@ -184,10 +184,12 @@ class _Data:
         """w = v*alpha/(alpha + 1 - v) for a checked alpha."""
         return self.v * alpha / (alpha + (1.0 - self.v))
 
-    def centered_misfit(self, k):
-        """sum_l |k_l - y_l|^2 per bin of centered bins k, as fft2c(..., s) has them."""
-        return _coil_energy(np.subtract(np.fft.ifftshift(k, axes=-2), self.y_s,
-                                        dtype=complex))
+    def weighted_misfit(self, m, alpha):
+        """The data term sum w*sum_l |F m_l - y_l|^2 over the sampled bins, for
+        coil images m and a checked alpha (F = ``fft2c``, through this module)."""
+        k = np.fft.ifftshift(fft2c(m, self.s), axes=-2)
+        r2 = _coil_energy(np.subtract(k, self.y_s, dtype=complex))
+        return np.sum(self.weight(alpha) * r2)
 
 
 def _coil_energy(d, out=None):
@@ -307,8 +309,7 @@ def objective(state, y, sens, mask, alpha, beta, lam, prior, v=1.0):
     beta, lam = _check_weight(beta, "beta"), _check_weight(lam, "lambda", 0)
     _check_geometry(sens, image=state.x)
     _check_geometry(sens, image=state.z, coils=state.m, name="coil images")
-    r2 = data.centered_misfit(fft2c(state.m, data.s))
-    return _total(np.sum(data.weight(alpha) * r2),
+    return _total(data.weighted_misfit(state.m, alpha),
                   alpha * l2_norm(state.m - sens.maps * state.x) ** 2
                   + beta * l2_norm(state.z - state.x) ** 2, prior.value(state.z), lam)
 
@@ -372,8 +373,8 @@ def solve(y, sens, mask, config):
                         objective_includes_prior=penalty is not None)
     alpha, beta, lam = config.params_at(1)
     # m_0 = S x_0 and z_0 = x_0: the coupling and tie terms are exactly zero
-    r2 = data.centered_misfit(fft2c(sens.maps * x, data.s))
-    _log_objective(state, _total(np.sum(data.weight(alpha) * r2), 0.0, penalty, lam), 0)
+    _log_objective(state, _total(data.weighted_misfit(sens.maps * x, alpha),
+                                 0.0, penalty, lam), 0)
     if config.record_history:
         state.x_history.append(x.copy())
     for t in range(1, config.iterations + 1):

@@ -6,22 +6,27 @@ the README quick start as written.
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import itertools
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FAIL_STUB, HUGE_STUB, IDENTITY_STUB, NAN_STUB, make_stub
 import pcsmri
-from pcsmri import __version__, solver
+from pcsmri import __version__, cli, errors, solver
 from pcsmri.cli import DEFAULT_LAMBDA, _build_solver_config, build_parser, main
 from pcsmri.container import load_array, load_image, save_array, save_image
 from pcsmri.masks import (PRESETS, SamplingMask, load_mask,
@@ -976,6 +981,82 @@ def test_a_corrupt_input_exits_2_or_3_naming_it(tmp_path, capsys, name,
     err = err.replace(str(tmp_path), "")
     assert out == "" and any(word in err for word in _NAMED_AS[name]), err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+# the documented exit code and stderr label of every error that main handles
+EXIT_CONTRACT = {
+    errors.PcsmriError: (2, "error"),
+    errors.ConfigError: (2, "error"),
+    errors.ShapeError: (2, "error"),
+    errors.ProtocolError: (2, "error"),
+    errors.EstimationError: (2, "error"),
+    errors.ContainerError: (3, "i/o error"),
+    errors.DivergenceError: (4, "divergence"),
+    errors.PriorExecutionError: (5, "external prior failed"),
+    OSError: (3, "i/o error"),
+}
+PACKAGE_ERRORS = [cls for cls in vars(errors).values()
+                  if isinstance(cls, type) and issubclass(cls, errors.PcsmriError)]
+
+
+@pytest.mark.parametrize("cls", [*PACKAGE_ERRORS, OSError],
+                         ids=lambda cls: cls.__name__)
+def test_main_prints_each_errors_label_and_returns_its_code(tmp_path, capsys,
+                                                             monkeypatch, cls):
+    def fail(path):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "_read_kv_file", fail)
+    code, label = EXIT_CONTRACT[cls]
+    if cls is not OSError:
+        assert (cls.exit_code, cls.label) == (code, label)
+    capsys.readouterr()
+    assert run_cli("recon", "--case", tmp_path, "--config", tmp_path / "cfg") == code
+    assert capsys.readouterr() == ("", f"{label}: boom\n")
+
+
+@pytest.fixture(scope="module")
+def text_inputs(tmp_path_factory):
+    """A 32x32, 2-coil case with a valid config and sweep grid beside it."""
+    root = tmp_path_factory.mktemp("text_inputs")
+    small_case_dir(root)
+    write_config(root / "cfg", {"prior": "tikhonov", "iterations": "2"})
+    write_config(root / "grid", {"lambda": "0.01,0.02", "iterations": "2"})
+    return root
+
+
+# each text input, and the error that refuses it when it is not UTF-8
+_TEXT_INPUTS = {"cfg": errors.ConfigError, "grid": errors.ConfigError,
+                **{f"case/{name}.hdr": errors.ContainerError
+                   for name in ("kspace", "mask", "sens", "gt")}}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(_TEXT_INPUTS)), data=st.data(),
+       byte=st.integers(0x80, 0xFF))
+def test_an_undecodable_text_input_exits_2_or_3_writing_nothing(text_inputs, name,
+                                                                data, byte):
+    # every file the package writes is ASCII, so one byte >= 0x80 in its
+    # place cannot be UTF-8
+    with tempfile.TemporaryDirectory() as work:
+        root = Path(work)
+        shutil.copytree(text_inputs, root, dirs_exist_ok=True)
+        path = root / name
+        raw = bytearray(path.read_bytes())
+        raw[data.draw(st.integers(0, len(raw) - 1), label="offset")] = byte
+        path.write_bytes(bytes(raw))
+        before = sorted(root.rglob("*"))
+        command = (["sweep", "--grid", root / "grid"] if name == "grid"
+                   else ["recon", "--config", root / "cfg"])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(*command, "--case", root / "case")
+        expected, label = EXIT_CONTRACT[_TEXT_INPUTS[name]]
+        assert code == expected
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(f"{label}: {path} is not UTF-8 text")
+        assert err.getvalue().count("\n") == 1
+        assert sorted(root.rglob("*")) == before
 
 
 def test_missing_inputs_exit_3(tmp_path, capsys):

@@ -174,6 +174,17 @@ def test_load_error_paths(tmp_path):
         load_array(orphan)
 
 
+@pytest.mark.parametrize("line", ["kind: sens", "kind: gt"],
+                         ids=["other-value", "same-value"])
+def test_a_sidecar_that_states_a_key_twice_is_refused(tmp_path, line):
+    # the later line would otherwise pass a gt container off as a map set
+    save_image(tmp_path / "gt", np.ones((2, 2)), kind="gt")
+    header = tmp_path / "gt.hdr"
+    header.write_text(header.read_text() + line + "\n")
+    with pytest.raises(ContainerError, match=r"duplicate key 'kind' in .*gt\.hdr"):
+        load_array(tmp_path / "gt", expect_kind="sens")
+
+
 def test_load_image_requires_single_coil(tmp_path):
     save_array(tmp_path / "multi", np.ones((2, 3, 3)), kind="image")
     with pytest.raises(ContainerError):

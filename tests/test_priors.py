@@ -505,6 +505,17 @@ def test_external_prior_failure_reports_exit_code_and_stderr(tmp_path):
         prior.prox_info(np.ones((4, 4), dtype=complex), 1.0, 0.0)
 
 
+def test_external_prior_output_that_is_not_utf8_is_quoted_not_raised(tmp_path):
+    cmd = make_stub(tmp_path, "fail.py", """
+        sys.stdout.buffer.write(b"\\xfe")
+        sys.stderr.buffer.write(b"denoiser exploded \\xff\\n")
+        sys.exit(3)
+    """)
+    prior = ExternalPrior(cmd, exchange_dir=tmp_path / "xch")
+    with pytest.raises(PriorExecutionError, match="code 3: denoiser exploded \ufffd$"):
+        prior.prox_info(np.ones((4, 4), dtype=complex), 1.0, 0.0)
+
+
 def test_external_prior_never_reuses_stale_output(tmp_path):
     exchange = tmp_path / "xch"
     ok = ExternalPrior(make_stub(tmp_path, "identity.py", conftest.IDENTITY_STUB),
