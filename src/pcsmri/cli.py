@@ -32,6 +32,7 @@ import functools
 import io
 import itertools
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -159,6 +160,14 @@ def _build_solver_config(fields):
     return SolverConfig(prior=prior, lam=lam, **given)
 
 
+def _say(line):
+    """print; a lone surrogate (a name byte that is not UTF-8) prints as \\xNN."""
+    try:
+        print(line)
+    except UnicodeEncodeError:  # a strict stdout
+        print(os.fsencode(line).decode(sys.stdout.encoding, "backslashreplace"))
+
+
 def _write_manifest(path, command, pairs):
     _write_header(path, "pcsmri-manifest v1",
                   [("command", command), ("version", __version__), *pairs])
@@ -205,11 +214,11 @@ def cmd_phantom(args):
                        phase_ramp=args.phase_ramp)
     save_image(args.out, img, kind="image")
     _write_manifest(
-        str(args.out) + ".manifest", "phantom",
+        f"{Path(args.out)}.manifest", "phantom",
         [("kind", args.kind), ("height", height), ("width", width),
          ("seed", args.seed), ("phase_ramp", args.phase_ramp)],
     )
-    print(f"wrote {args.kind} phantom {height}x{width} to {args.out}")
+    _say(f"wrote {args.kind} phantom {height}x{width} to {args.out}")
     return 0
 
 
@@ -217,7 +226,7 @@ def cmd_mask(args):
     height = args.width if args.height is None else args.height
     mask = MASK_KINDS[args.kind](height, args.width, args.r, args.acs, args.seed)
     save_mask(args.out, mask)
-    print(f"wrote {mask_summary(mask)} to {args.out}")
+    _say(f"wrote {mask_summary(mask)} to {args.out}")
     return 0
 
 
@@ -228,7 +237,7 @@ def cmd_sense(args):
         args.acs = 24 if mask is None else mask.acs_width
     sens = estimate_maps(ksp, args.acs, mask=mask, apodize=not args.no_apodize)
     _save_sens(args.out, sens)
-    print(f"wrote {sens.n_coils}-coil sensitivity maps to {args.out}")
+    _say(f"wrote {sens.n_coils}-coil sensitivity maps to {args.out}")
     return 0
 
 
@@ -259,7 +268,7 @@ def cmd_simulate(args):
          ("noise_sigma", args.sigma), ("phase_ramp", args.phase_ramp),
          ("seed", args.seed)],
     )
-    print(f"simulated case in {out}: {mask_summary(mask)}")
+    _say(f"simulated case in {out}: {mask_summary(mask)}")
     return 0
 
 
@@ -329,7 +338,7 @@ def cmd_recon(args):
         [("case", case.name), ("estimate_sens", args.estimate_sens)]
         + [(k, v) for k, v in sorted(fields.items())],
     )
-    print(f"wrote reconstruction to {out}")
+    _say(f"wrote reconstruction to {out}")
     return 0
 
 
@@ -348,14 +357,14 @@ def _write_report(path, rows, comments=()):
     text = io.StringIO()
     csv.writer(text, lineterminator="\n").writerows([REPORT_COLUMNS, *rows])
     text.writelines(f"{comment}\n" for comment in comments)
-    _write_files([(path, text.getvalue().encode())])
+    _write_files([(path, text.getvalue().encode(errors="surrogateescape"))])
 
 
 def _print_table(rows):
     cells = [REPORT_COLUMNS, *rows]
     widths = [max(len(cell) for cell in column) for column in zip(*cells)]
     for c in cells:
-        print("  ".join(cell.ljust(w) for cell, w in zip(c, widths)))
+        _say("  ".join(cell.ljust(w) for cell, w in zip(c, widths)))
 
 
 def cmd_eval(args):
@@ -425,7 +434,7 @@ def cmd_sweep(args):
     _write_report(args.report or out_root / "report.csv", rows, comments)
     _print_table(rows)
     for comment in comments:
-        print(comment)
+        _say(comment)
     return 0
 
 

@@ -25,6 +25,7 @@ creates nothing, and one during it leaves the previous files in place
 (and may leave a directory it made).
 """
 
+import errno
 import os
 import threading
 from pathlib import Path
@@ -40,7 +41,7 @@ _DTYPES = ("<c8", "<c16")
 
 
 def _sidecar(path):
-    return Path(str(path) + ".hdr")
+    return Path(f"{Path(path)}.hdr")
 
 
 def _write_files(files):
@@ -49,9 +50,13 @@ def _write_files(files):
     Every file is written in full before the first rename, in the given
     order, so an interrupted write leaves the previous files in place.
     A missing directory is made just before the first file in it, and
-    stays if an I/O error follows. An OSError names the requested path.
+    stays if an I/O error follows. An OSError names the requested path;
+    a target with no file name (``.``, ``/``) raises one before any write.
     """
     files = [(Path(target), data) for target, data in files]
+    for target, _ in files:
+        if not target.name:
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
     temps = []
     try:
         for target, data in files:
@@ -73,7 +78,8 @@ def _write_files(files):
 
 def _write_header(path, magic, pairs, payload=None):
     """Write a header file at path, or a payload at path plus its sidecar."""
-    header = (f"{magic}\n" + "".join(f"{k}: {v}\n" for k, v in pairs)).encode()
+    text = f"{magic}\n" + "".join(f"{k}: {v}\n" for k, v in pairs)
+    header = text.encode(errors="surrogateescape")  # a non-UTF-8 name: its bytes
     _write_files([(path, header)] if payload is None else [
         (path, payload), (_sidecar(path), header)])
 

@@ -48,9 +48,9 @@ def _check_dims(height, width):
 class SamplingMask:
     """Binary selection of phase-encode lines (columns) of an H x W grid.
 
-    ``line_selected`` holds one 0/1 flag per column; ``forward``, ``adjoint``
-    and the DC step transform only the flagged columns, so U^H U is never
-    applied on the full grid. Instances are immutable and safe to share.
+    ``line_selected`` holds one 0/1 flag per column; ``forward`` and the DC
+    step transform only the flagged columns, and ``adjoint`` zeroes the
+    others before its inverse. Instances are immutable and safe to share.
     """
 
     height: int

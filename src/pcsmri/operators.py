@@ -3,8 +3,8 @@
 The per-coil forward model is y_l = U F S_l x + n_l, with U the line
 mask, F the centered unitary 2D DFT and S_l the coil sensitivity map.
 Measured data is materialized zero-filled on the full grid (U^H y), so
-every operator takes or returns full (Nc, H, W) k-space; forward and adjoint
-transform only the sampled columns (the ``lines`` of the transforms).
+every operator takes or returns full (Nc, H, W) k-space; forward transforms
+only the sampled columns (the ``lines`` of ``fft2c``). U^H U is a mask.
 Noise is injected on sampled lines only; unsampled positions are never
 measured.
 """
@@ -141,10 +141,9 @@ def _combine(maps, coils):
 
 
 def adjoint(y, sens, mask):
-    """sum_l S_l^H F^H U^H U y_l, the exact adjoint of the noiseless forward."""
+    """The exact adjoint of the noiseless forward: ``zero_filled`` of U^H U y."""
     _check_geometry(sens, mask, coils=y)
-    s = mask.line_selected
-    return _combine(sens.maps, ifft2c(np.asarray(y)[..., s], s))
+    return zero_filled(np.where(mask.line_selected, y, 0), sens)
 
 
 def zero_filled(y, sens):

@@ -215,7 +215,7 @@ def _gather(y, sens, mask, v):
     if stray.size:
         raise ProtocolError(f"k-space is nonzero on unsampled column {stray[0]} "
                             f"({stray.size} such columns); zero them first")
-    _, f, phase = _columns(s, mask.width)
+    f, phase = _columns(s, mask.width)
     g = _sampled_index(f, sens.maps.shape)
     # y and a v_map are centered along W, so they are read at s itself
     at_s = _sampled_index(np.flatnonzero(s), sens.maps.shape)

@@ -11,16 +11,16 @@ Conventions used throughout the package:
   The closed-form data-consistency update relies on this. No transform
   writes to its input.
 
-Both transforms take an optional ``lines``: one bool flag per k-space
-column, shape (W,), such as ``SamplingMask.line_selected``. Then
-``fft2c(img, lines)`` returns only the n flagged columns, shape
-(..., H, n), and ``ifft2c(ksp, lines)`` takes those, every other
-column being zero; both agree with the full transforms to round-off. They
-and the solver's data-consistency step share one private pair:
-``_sampled_forward`` runs a full-size FFT along W, gathers the columns
-through a flat index (``_sampled_index``) that reads the rows in FFT
-order, folding in the H centering, applies the W-centering phase of
-``_columns`` and runs the H FFT in place on the gathered bins, left in
+``fft2c`` takes an optional ``lines``: one bool flag per k-space column,
+shape (W,), such as ``SamplingMask.line_selected``. Then ``fft2c(img,
+lines)`` returns only the n flagged columns, shape (..., H, n), which
+agree with the full transform's to round-off. ``ifft2c`` has no such
+mode: to invert flagged columns, zero the others and call it. That
+restricted forward and the solver's data-consistency step share one
+private pair: ``_sampled_forward`` runs a full-size FFT along W, gathers
+the columns through a flat index (``_sampled_index``) that reads the rows
+in FFT order, folding in the H centering, applies the W-centering phase
+of ``_columns`` and runs the H FFT in place on the gathered bins, left in
 FFT row order; ``_sampled_inverse`` undoes each step in reverse.
 """
 
@@ -45,21 +45,20 @@ def _centered(transform, x):
     return np.fft.fftshift(buf, axes=(-2, -1))
 
 
-def _columns(lines, width=None):
-    """Width, uncentered frequencies of the flagged columns, W-centering phase."""
+def _columns(lines, width):
+    """Uncentered frequencies of the flagged columns and their W-centering phase."""
     lines = np.asarray(lines)
-    if (lines.dtype != bool or lines.ndim != 1 or lines.size == 0
-            or (width is not None and lines.size != width)):
+    if lines.dtype != bool or lines.shape != (width,):
         raise ShapeError(
-            f"lines must be one bool flag per column, shape ({width or 'W'},); "
+            f"lines must be one bool flag per column, shape ({width},); "
             f"got {lines.dtype} of shape {lines.shape}"
         )
-    width, c = lines.size, lines.size // 2
+    c = width // 2
     f = (np.flatnonzero(lines) - c) % width
     # ifftshift along W multiplies frequency f by exp(2 pi i f c / W)
     if width % 2:
-        return width, f, np.exp(2j * np.pi * ((f * c) % width) / width)
-    return width, f, 1.0 - 2.0 * (f % 2)
+        return f, np.exp(2j * np.pi * ((f * c) % width) / width)
+    return f, 1.0 - 2.0 * (f % 2)
 
 
 def _sampled_index(columns, shape):
@@ -108,29 +107,14 @@ def fft2c(img, lines=None):
     x = _checked(img, "image")
     if lines is None:
         return _centered(np.fft.fftn, x)
-    _, f, phase = _columns(lines, x.shape[-1])
+    f, phase = _columns(lines, x.shape[-1])
     k = _sampled_forward(x, _sampled_index(f, x.shape), phase)
     return np.fft.fftshift(k, axes=-2)
 
 
-def ifft2c(ksp, lines=None):
-    """Inverse of :func:`fft2c` (exact to round-off).
-
-    With ``lines``, ksp holds the flagged columns only, (..., H, n), and
-    every other column is zero.
-    """
-    if lines is None:
-        return _centered(np.fft.ifftn, _checked(ksp, "k-space"))
-    width, f, phase = _columns(lines)
-    ksp = np.asarray(ksp)
-    if ksp.ndim < 2 or ksp.shape[-2] == 0 or ksp.shape[-1] != f.size:
-        raise ShapeError(f"k-space columns {ksp.shape} do not match the "
-                         f"{f.size} flagged lines")
-    # allocated before the small temporaries, so that it can take the place
-    # of a freed full-size array instead of growing the heap
-    img = np.zeros((*ksp.shape[:-1], width), np.result_type(ksp, np.complex64))
-    k = np.fft.ifftshift(ksp, axes=-2).astype(img.dtype, copy=False)
-    return _sampled_inverse(k, _sampled_index(f, img.shape), phase, img, out=k)
+def ifft2c(ksp):
+    """Inverse of the full :func:`fft2c` (exact to round-off); no ``lines``."""
+    return _centered(np.fft.ifftn, _checked(ksp, "k-space"))
 
 
 def l2_norm(x):

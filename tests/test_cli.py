@@ -8,6 +8,7 @@ the README quick start as written.
 import argparse
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import itertools
@@ -393,16 +394,16 @@ def test_recon_psnr_lines_reuse_the_solve_start(tmp_path, monkeypatch):
     case = small_case_dir(tmp_path)
     calls = []
 
-    def counted(ksp, lines=None):
-        calls.append(lines)
-        return ifft2c(ksp, lines)
+    def counted(ksp):
+        calls.append(np.shape(ksp))
+        return ifft2c(ksp)
 
-    # zero_filled is the one operator that inverts a full grid
+    # zero_filled is the one operator that inverts a coil stack
     monkeypatch.setattr("pcsmri.operators.ifft2c", counted)
     assert run_cli("recon", "--case", case) == 0
-    assert calls == [None]
     # the logged zero-filled PSNR is that of an independent estimate
     y, sens, _ = load_case_like_cli(case)
+    assert calls == [y.shape]
     gt, _ = load_image(case / "gt")
     support = sens.support
     p0 = psnr(np.abs(zero_filled(y, sens))[support], np.abs(gt)[support])
@@ -468,6 +469,92 @@ def test_every_command_makes_the_directories_of_its_outputs(tmp_path, capsys):
     assert load_mask(new / "m").acs_width == 8
     assert load_array(new / "s", expect_kind="sens")[0].shape == (2, 32, 32)
     assert (new / "deeper" / "r.csv").read_text().startswith("case,method,")
+
+
+# each command's argv, {case} and {grid} standing for a small case and grid
+NAMELESS_TARGETS = {
+    "phantom-empty": ["phantom", "--size", "16", "--out", ""],
+    "phantom-dot": ["phantom", "--size", "16", "--out", "."],
+    "phantom-root": ["phantom", "--size", "16", "--out", "/"],
+    "mask-empty": ["mask", "--width", "16", "--r", "2", "--acs", "4", "--out", ""],
+    "sense-empty": ["sense", "--kspace", "{case}/kspace", "--out", ""],
+    "recon-dot": ["recon", "--case", "{case}", "--out", "."],
+    "eval-dot": ["eval", "--recon", "{case}/gt", "--gt", "{case}/gt",
+                 "--report", "."],
+    "sweep-dot": ["sweep", "--case", "{case}", "--grid", "{grid}", "--report", "."],
+}
+
+
+@pytest.mark.parametrize("argv", NAMELESS_TARGETS.values(), ids=NAMELESS_TARGETS)
+def test_a_write_target_with_no_file_name_exits_3_naming_it(tmp_path, capsys,
+                                                            monkeypatch, argv):
+    case = small_case_dir(tmp_path)
+    grid = write_config(tmp_path / "grid", {"lambda": "0.01", "iterations": "2"})
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    capsys.readouterr()
+    argv = [arg.format(case=case, grid=grid) for arg in argv]
+    assert run_cli(*argv) == 3
+    assert capsys.readouterr().err == (
+        f"i/o error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
+        f"{str(Path(argv[-1]))!r}\n")
+    assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,files", [
+    (["phantom", "--size", "16"], ["d", "d.hdr", "d.manifest"]),
+    (["mask", "--width", "16", "--r", "2", "--acs", "4"], ["d", "d.hdr"]),
+    (["sense", "--kspace", "{case}/kspace"], ["d", "d.hdr"]),
+], ids=["phantom", "mask", "sense"])
+def test_a_trailing_separator_names_the_file_as_recon_does(tmp_path, capsys,
+                                                           monkeypatch, argv, files):
+    case = small_case_dir(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(out)
+    assert run_cli(*[a.format(case=case) for a in argv], "--out", "d/") == 0
+    assert sorted(p.name for p in out.iterdir()) == files
+    assert all((out / name).is_file() for name in files)
+    assert capsys.readouterr().out.endswith(" to d/\n")
+
+
+def test_a_name_that_is_not_utf8_is_printed_escaped_on_a_strict_stdout(tmp_path):
+    # argv bytes that are not UTF-8 reach the commands as lone surrogates; a
+    # strict stdout cannot encode them, so the commands print their escapes
+    script = "\n".join([
+        "import os, sys",
+        "from pcsmri.cli import main",
+        "for argv in sys.argv[1].encode().split(b'|'):",
+        "    code = main([os.fsdecode(a.replace(b'@', b'\\xff'))",
+        "                 for a in argv.split(b' ')])",
+        "    if code:",
+        "        sys.exit(code)"])
+    runs = "|".join([
+        "phantom --size 16 --out p@", "mask --width 16 --r 2 --acs 4 --out m@",
+        "simulate --size 32 --coils 2 --acs 4 --out c@", "sense --kspace c@/kspace "
+        "--out s@", "recon --case c@", "eval --case-dirs c@ --report r@",
+        "sweep --case c@ --grid g"])
+    (tmp_path / "g").write_text("lambda = 0.01, 0.02\niterations = 2\n")
+    paths = [str(Path(pcsmri.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict",
+               PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-c", script, runs], cwd=tmp_path,
+                          env=env, capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
+    out = proc.stdout.decode().splitlines()
+    assert out[0] == r"wrote shepp_logan phantom 16x16 to p\xff"
+    assert out[1].endswith(r" to m\xff") and out[3].endswith(r" to s\xff")
+    assert out[2].startswith(r"simulated case in c\xff: ")
+    assert out[4] == r"wrote reconstruction to c\xff/recon"
+    assert [row.split()[0] for row in out[5:]] == [
+        "case", r"c\xff", "case", r"c\xff", r"c\xff", "#"]
+    # the files carry the name's own bytes
+    case = tmp_path / os.fsdecode(b"c\xff")
+    assert b"\ncase: c\xff\n" in (case / "recon_manifest.txt").read_bytes()
+    assert b"\nc\xff,hqs," in (tmp_path / os.fsdecode(b"r\xff")).read_bytes()
+    sweep_row = b"\nc\xff,iterations=2;lambda=0.01,"
+    assert sweep_row in (case / "sweep" / "report.csv").read_bytes()
 
 
 def test_a_recon_that_cannot_be_stored_exits_3_leaving_no_directory(tmp_path,

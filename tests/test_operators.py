@@ -4,11 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_read_only, random_complex
 from oracles import dense_adjoint_apply, dense_forward_apply
 from pcsmri import (
     ConfigError,
+    SamplingMask,
     SensitivitySet,
     ShapeError,
     adjoint,
@@ -97,23 +100,35 @@ def test_forward_noise_is_seeded_and_sized():
             forward(x, sens, mask, noise_sigma=sigma, seed=bad)
 
 
-def test_zero_filled_is_the_unmasked_adjoint():
-    rng = np.random.default_rng(5)
-    sens = _random_sens(rng, 3, 16, 16)
-    mask = make_random_mask(16, 16, 2.0, 4, seed=1)
-    y = forward(random_complex(rng, (16, 16)), sens, mask)
-    # measured data is already zero off-mask, so both combinations agree
-    np.testing.assert_allclose(zero_filled(y, sens), adjoint(y, sens, mask),
-                               atol=1e-12)
-    # both add the coils left to right, as np.sum does off a 1x1 grid
+@settings(max_examples=40, deadline=None)
+@given(n_coils=st.integers(1, 5), h=st.integers(1, 17), w=st.integers(1, 17),
+       complex64=st.booleans(), sigma=st.sampled_from([0.0, 0.3]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_coils=3, h=1, w=1, complex64=False, sigma=0.0, seed=0)
+@example(n_coils=4, h=1, w=1, complex64=True, sigma=0.3, seed=1)
+@example(n_coils=3, h=16, w=16, complex64=False, sigma=0.0, seed=5)
+@example(n_coils=2, h=17, w=12, complex64=True, sigma=0.3, seed=6)
+def test_zero_filled_is_the_unmasked_adjoint(n_coils, h, w, complex64, sigma,
+                                             seed):
+    rng = np.random.default_rng(seed)
+    sens = _random_sens(rng, n_coils, h, w)
+    mask = SamplingMask(h, w, rng.random(w) < 0.5, 0, 2.0)
     s = mask.line_selected
-    for data in (y, y.astype(np.complex64)):
-        conj_maps = np.conj(sens.maps)
+    dtype = np.complex64 if complex64 else np.complex128
+    # any y: the adjoint is zero_filled of y with the unsampled columns zeroed
+    y = random_complex(rng, (n_coils, h, w)).astype(dtype)
+    got = adjoint(y, sens, mask)
+    assert got.dtype == np.complex128
+    np.testing.assert_array_equal(got, zero_filled(np.where(s, y, 0), sens))
+    # measured data is already zero off-mask, so both combinations agree
+    measured = forward(random_complex(rng, (h, w)), sens, mask, sigma,
+                       seed=seed).astype(dtype)
+    np.testing.assert_array_equal(adjoint(measured, sens, mask),
+                                  zero_filled(measured, sens))
+    # the coils are added left to right, as np.sum does off a 1x1 grid
+    if h * w > 1:
         np.testing.assert_array_equal(
-            zero_filled(data, sens), np.sum(conj_maps * ifft2c(data), axis=0))
-        np.testing.assert_array_equal(
-            adjoint(data, sens, mask),
-            np.sum(conj_maps * ifft2c(data[..., s], s), axis=0))
+            zero_filled(y, sens), np.sum(np.conj(sens.maps) * ifft2c(y), axis=0))
 
 
 def test_rss_combine_matches_definition():

@@ -785,7 +785,9 @@ def test_dc_update_flat_index_matches_the_line_transforms(h, w, n_coils, v_map,
     k_new = _new_bins(k, y, s, alpha, v)
     for bins in (np.fft.fftshift(data.k_new, axes=-2), fft2c(m, s)):
         np.testing.assert_allclose(bins, k_new, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(m, sens.maps * x + ifft2c(k_new - k, s), rtol=0,
+    change = np.zeros(sens.maps.shape, dtype=complex)
+    change[..., s] = k_new - k
+    np.testing.assert_allclose(m, sens.maps * x + ifft2c(change), rtol=0,
                                atol=1e-12)
 
 

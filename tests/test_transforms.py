@@ -174,13 +174,12 @@ def test_lines_restrict_the_full_transforms(batch, h, w, kind, seed):
     assert got.flags.c_contiguous
     # full transform, then select the flagged columns
     assert l2_norm(got - fft2c(x)[..., lines]) <= scale
-    back = ifft2c(k, lines)
-    assert back.shape == x.shape and back.dtype == np.complex128
-    # zero-fill the other columns, then the full inverse
+    # the inverse of the flagged columns: zero-fill the others, then ifft2c
     filled = np.zeros(x.shape, dtype=complex)
     filled[..., lines] = k
-    assert l2_norm(back - ifft2c(filled)) <= 1e-12 * l2_norm(k)
-    # the restricted pair is adjoint, and inverts on the flagged columns
+    back = ifft2c(filled)
+    assert back.shape == x.shape and back.dtype == np.complex128
+    # the restricted forward is its adjoint, and inverts on the flagged columns
     lhs, rhs = inner_product(got, k), inner_product(x, back)
     assert abs(lhs - rhs) <= 1e-12 * l2_norm(x) * l2_norm(k)
     assert l2_norm(fft2c(back, lines) - k) <= 1e-12 * l2_norm(k)
@@ -196,11 +195,15 @@ def test_lines_keep_single_precision(shape):
     lines = _flagged(rng, shape[-1], "random") | _flagged(rng, shape[-1], "one")
     x = random_complex(rng, shape).astype(np.complex64)
     got = fft2c(x, lines)
-    back = ifft2c(got, lines)
+    filled = np.zeros_like(x)
+    filled[..., lines] = got
+    back = ifft2c(filled)
     assert got.dtype == back.dtype == np.complex64
     assert got.flags.c_contiguous
     want = fft2c(x.astype(np.complex128))[..., lines]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * np.abs(want).max())
+    np.testing.assert_allclose(fft2c(back, lines), got, rtol=0,
+                               atol=1e-5 * np.abs(want).max())
 
 
 def test_lines_must_be_one_bool_flag_per_column():
@@ -208,20 +211,12 @@ def test_lines_must_be_one_bool_flag_per_column():
     x = random_complex(rng, (2, 8, 10))
     lines = np.zeros(10, dtype=bool)
     lines[[1, 4, 5]] = True
-    k = fft2c(x, lines)
+    assert fft2c(x, lines).shape == (2, 8, 3)
     for bad in (lines[:-1], np.append(lines, True), np.flatnonzero(lines),
                 lines.astype(int), lines.astype(float), lines[None, :],
                 np.zeros(0, dtype=bool)):
         with pytest.raises(ShapeError, match="bool flag per column"):
             fft2c(x, bad)
-    for bad in (np.flatnonzero(lines), lines.astype(np.uint8), lines[None, :]):
-        with pytest.raises(ShapeError, match="bool flag per column"):
-            ifft2c(k, bad)
-    # the columns given must be the flagged ones
-    with pytest.raises(ShapeError, match="flagged lines"):
-        ifft2c(k[..., :2], lines)
-    with pytest.raises(ShapeError, match="flagged lines"):
-        ifft2c(k[0, 0], lines)
     with pytest.raises(ShapeError):
         fft2c(np.ones(10), lines)
 
